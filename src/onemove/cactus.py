@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engines import Strategy, cfms_run, complete_with_slides
+from .engines import Strategy, certify, complete_with_slides
 from .graphs import (
     Graph,
     classify,
@@ -175,9 +175,7 @@ def preoccupied_path_solve(p: Graph, preoccupied=frozenset()) -> tuple[int, Stra
         raise ValueError("input graph is not a disjoint union of paths")
     value, places, _ = _path_places(p, pre)
     strategy = complete_with_slides(p, places, preoccupied=pre)
-    state = cfms_run(p, strategy, preoccupied=pre)
-    if not state.success or state.ever_occupied != frozenset(range(p.n)):
-        raise RuntimeError("path plan failed to clear; this is a bug")
+    certify(p, strategy, pre)
     return value, strategy
 
 
@@ -354,9 +352,7 @@ def preoccupied_cycle_solve(c: Graph, preoccupied=frozenset()) -> tuple[int, Str
         raise ValueError("input graph is not a cycle")
     value, places, _ = _cycle_places(c, pre, classify(c).cycles[0])
     strategy = complete_with_slides(c, places, preoccupied=pre)
-    state = cfms_run(c, strategy, preoccupied=pre)
-    if not state.success or state.ever_occupied != frozenset(range(c.n)):
-        raise RuntimeError("cycle plan failed to clear; this is a bug")
+    certify(c, strategy, pre)
     return value, strategy
 
 
@@ -458,9 +454,7 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
             _delete(adj, pre, cyc)
 
     strategy = complete_with_slides(g, places, preoccupied=inst.preoccupied)
-    state = cfms_run(g, strategy, preoccupied=inst.preoccupied)
-    if not state.success or state.ever_occupied != frozenset(range(g.n)):
-        raise RuntimeError("cactus plan failed to clear; this is a bug")
+    certify(g, strategy, inst.preoccupied)
     return CactusPlan(
         additional_searchers=len(places), strategy=strategy, trace=tuple(trace)
     )

@@ -1,6 +1,6 @@
 """Command line front end.
 
-solve routes an edge list to the right solver and emits a JSON report
+solve hands an edge list to the library solver and emits a JSON report
 whose witness has already been replayed.  simulate renders stage traces
 of the three processes.  verify cross-checks a solver against an
 independent oracle.  generate, reduce, and probe produce family members,
@@ -16,35 +16,19 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .cactus import CactusInstance, cactus_solve, parse_cactus_instance
+from .cactus import parse_cactus_instance
 from .constructions import (
     contraction_probe,
     perturb_delta,
     vc_to_czf_reduction,
     write_reduction,
 )
-from .deduction import Layout, is_successful, run_deduction
+from .deduction import Layout, run_deduction
 from .engines import Strategy, cfms_run, czf_run
 from .exact import CZF_EXACT_CEILING, cfms_exact, czf_exact, d_exact
-from .families import (
-    CliqueConstruction,
-    clique_construction_layout,
-    clique_construction_value,
-    dismantlable_value,
-    dismantling_strategy,
-    pendent_dismantle,
-    tree_solve,
-    unicyclic_solve,
-)
-from .graphs import (
-    FAMILY_KINDS,
-    FamilySpec,
-    Graph,
-    classify,
-    generate,
-    parse_edge_list,
-    write_edge_list,
-)
+from .families import CliqueConstruction
+from .graphs import FAMILY_KINDS, FamilySpec, Graph, generate, parse_edge_list, write_edge_list
+from .solver import METHODS, solve
 
 log = logging.getLogger(__name__)
 
@@ -84,12 +68,13 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _read_instance(path: str) -> CactusInstance | Graph:
-    """An edge list, or a cactus instance when a preoccupied line appears."""
+def _read_instance(path: str) -> tuple[Graph, frozenset[int]]:
+    """An edge list, and the preoccupied vertices when that line appears."""
     text = _read_text(path)
     if any(line.split()[:1] == ["preoccupied"] for line in text.splitlines()):
-        return parse_cactus_instance(text)
-    return parse_edge_list(text)
+        inst = parse_cactus_instance(text)
+        return inst.graph, inst.preoccupied
+    return parse_edge_list(text), frozenset()
 
 
 def _parse_layout_csv(text: str) -> Layout:
@@ -105,21 +90,6 @@ def _parse_layout_csv(text: str) -> Layout:
     return Layout(counts)
 
 
-def _parse_strategy_dsl(text: str) -> Strategy:
-    actions: list[tuple] = []
-    for part in text.split(";"):
-        toks = part.split()
-        if not toks:
-            continue
-        if toks[0] == "place" and len(toks) == 2:
-            actions.append(("place", int(toks[1])))
-        elif toks[0] == "slide" and len(toks) == 3:
-            actions.append(("slide", int(toks[1]), int(toks[2])))
-        else:
-            raise ValueError(f"cannot parse strategy action {part.strip()!r}")
-    return Strategy(tuple(actions))
-
-
 def _read_certificate(path: str) -> CliqueConstruction:
     data = json.loads(_read_text(path))
     try:
@@ -133,137 +103,61 @@ def _read_certificate(path: str) -> CliqueConstruction:
 
 
 # ---------------------------------------------------------------------------
-# Witness serialization with replay.
-# ---------------------------------------------------------------------------
-
-
-def _forcing_witness(g: Graph, vertices) -> dict:
-    if czf_run(g, vertices).colored != frozenset(range(g.n)):
-        raise RuntimeError("forcing witness failed to replay; this is a bug")
-    return {"kind": "forcing-set", "vertices": sorted(vertices)}
-
-
-def _strategy_witness(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> dict:
-    state = cfms_run(g, strategy, preoccupied)
-    if not state.success or state.ever_occupied != frozenset(range(g.n)):
-        raise RuntimeError("strategy witness failed to replay; this is a bug")
-    payload = {"kind": "strategy", "actions": [list(a) for a in strategy.actions]}
-    if preoccupied:
-        payload["preoccupied"] = sorted(preoccupied)
-    return payload
-
-
-def _layout_witness(g: Graph, layout: Layout) -> dict:
-    if not is_successful(g, layout):
-        raise RuntimeError("layout witness failed to replay; this is a bug")
-    return {"kind": "layout", "counts": {str(v): c for v, c in sorted(layout.counts.items())}}
-
-
-# ---------------------------------------------------------------------------
 # Solving.
 # ---------------------------------------------------------------------------
 
 
-def _route(g: Graph) -> str:
-    shape = classify(g)
-    if shape.is_tree:
-        return "tree"
-    if shape.is_unicyclic:
-        return "unicyclic"
-    if shape.is_cactus:
-        return "cactus"
-    if pendent_dismantle(g) is not None:
-        return "dismantle"
-    return "exact"
+def _witness_json(witness, preoccupied: frozenset[int]) -> dict:
+    if isinstance(witness, Strategy):
+        payload = {"kind": "strategy", "actions": [list(a) for a in witness.actions]}
+        if preoccupied:
+            payload["preoccupied"] = sorted(preoccupied)
+        return payload
+    if isinstance(witness, Layout):
+        return {"kind": "layout", "counts": {str(v): c for v, c in sorted(witness.counts.items())}}
+    return {"kind": "forcing-set", "vertices": sorted(witness)}
 
 
-def _solve(g: Graph, preoccupied: frozenset[int], args) -> tuple[int, str, dict]:
-    method = args.method
-    if preoccupied and method not in ("auto", "cactus"):
-        raise ValueError("preoccupied inputs are solved by the cactus method only")
-    if method == "auto":
-        method = "cactus" if preoccupied else _route(g)
-        log.info("auto-detection chose the %s method", method)
-
-    if method == "tree":
-        result = tree_solve(g)
-        return result.value, "tree", _strategy_witness(g, result.witness)
-    if method == "unicyclic":
-        result = unicyclic_solve(g)
-        return result.value, "unicyclic", _strategy_witness(g, result.witness)
-    if method == "cactus":
-        plan = cactus_solve(CactusInstance(g, preoccupied))
-        for line in plan.trace:
-            log.info("cactus rule: %s", line)
-        witness = _strategy_witness(g, plan.strategy, preoccupied)
-        return plan.additional_searchers, "cactus", witness
-    if method == "dismantle":
-        ordering = pendent_dismantle(g)
-        if ordering is None:
-            raise ValueError("graph is not dismantlable by pendent edge deletions")
-        value = dismantlable_value(g, ordering)
-        witness = _strategy_witness(g, dismantling_strategy(g, ordering))
-        return value, "dismantle", witness
-    if method == "clique":
-        if args.certificate is None:
-            raise UsageError("--method clique needs --certificate")
-        construction = _read_certificate(args.certificate)
-        value = clique_construction_value(g, construction)
-        witness = _layout_witness(g, clique_construction_layout(g, construction))
-        return value, "clique", witness
-    result = czf_exact(g, force=args.force)
-    return result.value, "exact", _forcing_witness(g, result.witness)
-
-
-def _cmd_solve(args) -> int:
-    inst = _read_instance(args.input)
-    g = inst.graph if isinstance(inst, CactusInstance) else inst
-    pre = inst.preoccupied if isinstance(inst, CactusInstance) else frozenset()
-    start = time.perf_counter()
-    value, method, witness = _solve(g, pre, args)
-    report = {
-        "parameter": "additional-searchers" if pre else "czf",
-        "value": value,
-        "method": method,
-        "witness": witness,
-        "ms": (time.perf_counter() - start) * 1000.0,
-    }
-    print(json.dumps(report))
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    inst = _read_instance(args.input)
-    g = inst.graph if isinstance(inst, CactusInstance) else inst
-    pre = inst.preoccupied if isinstance(inst, CactusInstance) else frozenset()
-    start = time.perf_counter()
-    value, method, witness = _solve(g, pre, args)
-    if g.n > CZF_EXACT_CEILING and not args.force:
+def _oracle(g: Graph, pre: frozenset[int], method: str, force: bool) -> tuple[str, int]:
+    """Name and value of the exhaustive oracle that verify compares against."""
+    if g.n > CZF_EXACT_CEILING and not force:
         raise ValueError(
             f"oracle cross-check refused for n={g.n} > {CZF_EXACT_CEILING}; "
             "pass --force to insist"
         )
     if pre:
-        oracle_name, oracle = "cfms_exact", cfms_exact(g, pre).value
-    elif method == "exact":
+        return "cfms_exact", cfms_exact(g, pre).value
+    if method == "exact":
         # czf_exact was the solver, so the independent check is the
         # deduction oracle.
-        oracle_name, oracle = "d_exact", d_exact(g).value
-    else:
-        oracle_name, oracle = "czf_exact", czf_exact(g, force=args.force).value
-    agree = value == oracle
+        return "d_exact", d_exact(g).value
+    return "czf_exact", czf_exact(g, force=force).value
+
+
+def _cmd_solve(args) -> int:
+    """solve, and verify, which adds the oracle cross-check to the report."""
+    g, pre = _read_instance(args.input)
+    start = time.perf_counter()
+    if args.method == "clique" and args.certificate is None:
+        raise UsageError("--method clique needs --certificate")
+    construction = _read_certificate(args.certificate) if args.method == "clique" else None
+    sol = solve(g, pre, args.method, construction=construction, force=args.force)
+    for line in sol.trace:
+        log.info("cactus rule: %s", line)
     report = {
         "parameter": "additional-searchers" if pre else "czf",
-        "value": value,
-        "method": method,
-        "oracle": {"name": oracle_name, "value": oracle},
-        "agree": agree,
-        "witness": witness,
-        "ms": (time.perf_counter() - start) * 1000.0,
+        "value": sol.value,
+        "method": sol.method,
     }
+    if args.command == "verify":
+        oracle_name, oracle = _oracle(g, pre, sol.method, args.force)
+        report["oracle"] = {"name": oracle_name, "value": oracle}
+        report["agree"] = sol.value == oracle
+    report["witness"] = _witness_json(sol.witness, pre)
+    report["ms"] = (time.perf_counter() - start) * 1000.0
     print(json.dumps(report))
-    if not agree:
-        print(f"solver {method} disagrees with {oracle_name}", file=sys.stderr)
+    if report.get("agree") is False:
+        print(f"solver {sol.method} disagrees with {report['oracle']['name']}", file=sys.stderr)
         return INTERNAL_EXIT
     return 0
 
@@ -325,7 +219,7 @@ def _cmd_simulate(args) -> int:
     if args.model == "cfms":
         if args.strategy is None:
             raise UsageError("--model cfms needs --strategy")
-        _simulate_cfms(g, _parse_strategy_dsl(args.strategy))
+        _simulate_cfms(g, Strategy.from_text(args.strategy))
         return 0
     if args.layout is None:
         raise UsageError(f"--model {args.model} needs --layout")
@@ -424,29 +318,17 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--trace", action="store_true", help="human-readable trace on stderr")
 
-    solve = sub.add_parser("solve", help="compute the clearing number with a witness")
-    solve.add_argument("--input", required=True, help="edge list file")
-    solve.add_argument(
-        "--method",
-        default="auto",
-        choices=("auto", "exact", "tree", "unicyclic", "cactus", "dismantle", "clique"),
-    )
-    solve.add_argument("--certificate", help="clique construction JSON, for --method clique")
-    solve.add_argument("--force", action="store_true", help="let the oracle exceed its ceiling")
-    common(solve)
-    solve.set_defaults(handler=_cmd_solve)
-
-    verify = sub.add_parser("verify", help="cross-check a solver against an oracle")
-    verify.add_argument("--input", required=True)
-    verify.add_argument(
-        "--method",
-        default="auto",
-        choices=("auto", "exact", "tree", "unicyclic", "cactus", "dismantle", "clique"),
-    )
-    verify.add_argument("--certificate")
-    verify.add_argument("--force", action="store_true")
-    common(verify)
-    verify.set_defaults(handler=_cmd_verify)
+    for name, text in (
+        ("solve", "compute the clearing number with a witness"),
+        ("verify", "cross-check a solver against an oracle"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--input", required=True, help="edge list file")
+        p.add_argument("--method", default="auto", choices=METHODS)
+        p.add_argument("--certificate", help="clique construction JSON, for --method clique")
+        p.add_argument("--force", action="store_true", help="let the oracle exceed its ceiling")
+        common(p)
+        p.set_defaults(handler=_cmd_solve)
 
     simulate = sub.add_parser("simulate", help="render a stage trace of one process")
     simulate.add_argument("--input", required=True)

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from math import ceil
 
-from .engines import Strategy, cfms_run, czf_run
+from .engines import Strategy, certify
 from .exact import ParameterResult, czf_exact
 from .graphs import (
     Edge,
@@ -180,9 +180,7 @@ def cover_to_strategy(inst: ReductionInstance, cover) -> Strategy:
     strategy = Strategy(tuple(("place", v) for v in places) + tuple(slides))
     if strategy.searcher_count() != inst.k:
         raise RuntimeError("reduction strategy missed the budget; this is a bug")
-    state = cfms_run(inst.h, strategy)
-    if not state.success or state.ever_occupied != frozenset(range(inst.h.n)):
-        raise RuntimeError("reduction strategy failed to clear; this is a bug")
+    certify(inst.h, strategy)
     return strategy
 
 
@@ -250,7 +248,7 @@ def subdivision_value(g: Graph) -> ParameterResult:
     one; any other connected graph costs exactly one per edge.  The
     witness colors one leaf and all middles in the tree case, and
     otherwise swaps the middles along one cycle for the alternating
-    cycle pattern.  It is replayed through czf_run before returning.
+    cycle pattern.  It is replayed through certify before returning.
     """
     if len(connected_components(g)) != 1:
         raise ValueError("input graph must be connected")
@@ -273,9 +271,9 @@ def subdivision_value(g: Graph) -> ParameterResult:
         pattern = {ring[0], ring[1]} | {ring[j] for j in range(3, len(ring) - 1, 2)}
         off_cycle = set(middle.values()) - set(ring)
         witness = sorted(pattern | off_cycle)
-    colored = czf_run(gp, witness).colored
-    if len(witness) != value or colored != frozenset(range(gp.n)):
-        raise RuntimeError("subdivision witness failed to clear; this is a bug")
+    if len(witness) != value:
+        raise RuntimeError("subdivision witness has the wrong size; this is a bug")
+    certify(gp, witness)
     return ParameterResult(value, witness, "formula")
 
 
@@ -321,7 +319,8 @@ def perturb_delta(g: Graph, e: tuple[int, int], mode: str) -> int:
     before = czf_exact(g).value
     after = czf_exact(edit_edge(g, u, v, mode)).value
     delta = after - before
-    assert delta in (-1, 0, 1), "one-edge edit moved the value by more than one"
+    if delta not in (-1, 0, 1):
+        raise RuntimeError("one-edge edit moved the value by more than one; this is a bug")
     return delta
 
 
@@ -343,7 +342,8 @@ def contraction_probe(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
             before,
             after,
         )
-    assert after <= before + 1, "contraction raised the value by more than one"
+    if after > before + 1:
+        raise RuntimeError("contraction raised the value by more than one; this is a bug")
     return before, after
 
 

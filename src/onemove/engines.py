@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .deduction import FiringSequence, Layout, run_deduction
+from .deduction import FiringSequence, Layout, is_successful, run_deduction
 from .graphs import Edge, Graph, edge_key
 
 
@@ -223,7 +223,7 @@ def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState
                 raise StrategyError(f"action {i}: place on vertex {v} out of range")
             if v in occupied:
                 raise StrategyError(f"action {i}: place on occupied vertex {v}")
-            if g.degree(v) > 0 and not contaminated_at(v):
+            if adj[v] and not contaminated_at(v):
                 raise StrategyError(f"action {i}: place on cleared vertex {v}")
             occupied.add(v)
             ever.add(v)
@@ -265,7 +265,7 @@ def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
     Repeatedly slides the lowest-index unslid searcher that has exactly one
     contaminated incident edge.  The reachable cleared set is the same for
     every maximal slide order, so this canonical order loses nothing.  The
-    result deliberately gets re-run through cfms_run wherever a value
+    result deliberately gets re-run through certify wherever a value
     depends on it.
     """
     place_list = sorted(set(places))
@@ -322,10 +322,32 @@ def deduction_to_cfms(g: Graph, layout: Layout, sequence: FiringSequence | None 
     for stage in sequence.stages:
         for v in sorted(stage):
             targets = stage[v]
-            assert len(targets) == 1, "standard layouts fire single searchers"
+            if len(targets) != 1:
+                raise RuntimeError("a standard layout fired several searchers; this is a bug")
             w = targets[0]
             if w in covered:
                 continue
             covered.add(w)
             actions.append(("slide", v, w))
     return Strategy(tuple(actions))
+
+
+# ---------------------------------------------------------------------------
+# Witness replay.
+# ---------------------------------------------------------------------------
+
+
+def certify(g: Graph, witness, preoccupied=frozenset()) -> None:
+    """Replay a Strategy (which must clear every edge and visit every
+    vertex), a Layout (which must win the deduction game) or a forcing set
+    (which must color every vertex); RuntimeError unless it succeeds."""
+    everything = frozenset(range(g.n))
+    if isinstance(witness, Strategy):
+        state = cfms_run(g, witness, preoccupied)
+        kind, ok = "strategy", state.success and state.ever_occupied == everything
+    elif isinstance(witness, Layout):
+        kind, ok = "layout", is_successful(g, witness)
+    else:
+        kind, ok = "forcing-set", czf_run(g, witness).colored == everything
+    if not ok:
+        raise RuntimeError(f"{kind} witness failed to replay; this is a bug")

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deduction import Layout, is_successful
-from .engines import Strategy, cfms_run, complete_with_slides
+from .deduction import Layout
+from .engines import Strategy, certify, complete_with_slides
 from .exact import ParameterResult
 from .graphs import Edge, Graph, connected_components, edge_key
 
@@ -121,9 +121,7 @@ def tree_solve(t: Graph) -> ParameterResult:
     actions: list[tuple] = [("place", v) for v in places]
     actions.extend(("slide", v, u) for u, v in pairs)
     strategy = Strategy(tuple(actions))
-    state = cfms_run(t, strategy)
-    if not state.success or state.ever_occupied != frozenset(range(t.n)):
-        raise RuntimeError("forest strategy failed to clear; this is a bug")
+    certify(t, strategy)
     return ParameterResult(value=t.n - len(pairs), witness=strategy, method="tree")
 
 
@@ -185,9 +183,7 @@ def unicyclic_solve(g: Graph) -> ParameterResult:
         raise RuntimeError("placement count disagrees with the closed form; this is a bug")
 
     strategy = complete_with_slides(g, sorted(places))
-    state = cfms_run(g, strategy)
-    if not state.success or state.ever_occupied != frozenset(range(g.n)):
-        raise RuntimeError("unicyclic strategy failed to clear; this is a bug")
+    certify(g, strategy)
     return ParameterResult(value=value, witness=strategy, method="unicyclic")
 
 
@@ -229,6 +225,7 @@ def pendent_dismantle(g: Graph, *, stats: dict | None = None) -> DismantlingOrde
 
     acc: list[Edge] = []
     found = search(frozenset(range(g.n)), acc)
+    failed.clear()  # search is a closure cycle; free its memo now, not at the next gc pass
     if stats is not None:
         stats["backtracks"] = backtracks
     return DismantlingOrdering(tuple(acc)) if found else None
@@ -283,9 +280,7 @@ def dismantling_strategy(g: Graph, o: DismantlingOrdering) -> Strategy:
     actions: list[tuple] = [("place", v) for v in range(g.n) if v not in targets]
     actions.extend(("slide", c, p) for c, p in oriented)
     strategy = Strategy(tuple(actions))
-    state = cfms_run(g, strategy)
-    if not state.success or state.ever_occupied != frozenset(range(g.n)):
-        raise RuntimeError("dismantling strategy failed to clear; this is a bug")
+    certify(g, strategy)
     return strategy
 
 
@@ -350,9 +345,7 @@ def clique_construction_value(g: Graph, c: CliqueConstruction) -> int:
     Validates the construction against g, then confirms the non-anchor
     layout wins the deduction game before reporting the count.
     """
-    layout = clique_construction_layout(g, c)
-    if not is_successful(g, layout):
-        raise RuntimeError("non-anchor layout failed the deduction game; this is a bug")
+    certify(g, clique_construction_layout(g, c))
     return g.n - len(c.cliques)
 
 

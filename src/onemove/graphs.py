@@ -6,7 +6,7 @@ Graphs are immutable; every edit returns a new value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 Edge = tuple[int, int]
 
@@ -27,12 +27,13 @@ class Graph:
 
     roles, when present, assigns every vertex one of base | middle | inner |
     plain.  edge_roles is a partial map; edges not listed are plain.
+    The role maps take part in equality but not in the hash.
     """
 
     n: int
     edges: frozenset[Edge]
-    roles: dict[int, str] | None = None
-    edge_roles: dict[Edge, str] | None = None
+    roles: dict[int, str] | None = field(default=None, hash=False)
+    edge_roles: dict[Edge, str] | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:

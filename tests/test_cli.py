@@ -1,11 +1,12 @@
 """End-to-end command line behavior: reports, traces, exit codes."""
 
 import json
+import sys
 from types import SimpleNamespace
 
 import pytest
 
-from onemove import cli
+from onemove import cli, engines, families
 from onemove.engines import Strategy, cfms_run
 from onemove.exact import czf_exact
 from onemove.graphs import parse_edge_list
@@ -27,6 +28,22 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of fn through every onemove module that bound it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("onemove"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 class TestSolve:
@@ -120,10 +137,30 @@ class TestSolve:
     def test_replay_failure_is_internal_error(self, capsys, tmp_path, monkeypatch):
         path = write(tmp_path, "star.el", "5 4\n0 1\n0 2\n0 3\n0 4\n")
         broken = SimpleNamespace(success=False, ever_occupied=frozenset())
-        monkeypatch.setattr(cli, "cfms_run", lambda *a, **k: broken)
+        monkeypatch.setattr(engines, "cfms_run", lambda *a, **k: broken)
         code, _, err = run(capsys, "solve", "--input", path)
         assert code == 3
         assert "bug" in err
+
+    @pytest.mark.parametrize(
+        "text, method",
+        [
+            ("5 4\n0 1\n0 2\n0 3\n0 4\n", "tree"),
+            ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n", "unicyclic"),
+            (BOWTIE, "cactus"),
+            (SPIKY, "dismantle"),
+        ],
+        ids=["tree", "unicyclic", "cactus", "dismantle"],
+    )
+    def test_witness_replayed_once(self, capsys, tmp_path, monkeypatch, text, method):
+        path = write(tmp_path, "g.el", text)
+        replays = count_calls(monkeypatch, engines.cfms_run)
+        searches = count_calls(monkeypatch, families.pendent_dismantle)
+        code, out, _ = run(capsys, "solve", "--input", path)
+        assert (code, json.loads(out)["method"]) == (0, method)
+        assert len(replays) == 1
+        if method == "dismantle":
+            assert len(searches) == 1
 
 
 class TestVerify:

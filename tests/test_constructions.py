@@ -3,9 +3,11 @@
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from onemove import constructions
 from onemove.constructions import (
     ReductionInstance,
     contraction_probe,
@@ -325,6 +327,13 @@ class TestPerturbDelta:
                 assert perturb_delta(g, rng.choice(present), "remove") in (-1, 0, 1)
             elif absent:
                 assert perturb_delta(g, rng.choice(absent), "add") in (-1, 0, 1)
+
+    def test_out_of_band_edit_is_a_bug(self, monkeypatch):
+        # An oracle whose value moves by two per edge breaks the invariant,
+        # which must raise even when assertions are stripped.
+        monkeypatch.setattr(constructions, "czf_exact", lambda g: SimpleNamespace(value=2 * g.m))
+        with pytest.raises(RuntimeError, match="bug"):
+            perturb_delta(generate(FamilySpec("path", 3)), (0, 2), "add")
 
 
 class TestContractionProbe:

@@ -63,6 +63,12 @@ class TestGraphValue:
         assert g.neighbors(6) == [1, 5]
         assert g.degree(1) == 5
 
+    def test_hashable_with_roles(self):
+        g = subdivide_all(Graph(2, [(0, 1)]))
+        assert g.roles is not None
+        assert hash(g) == hash(subdivide_all(Graph(2, [(0, 1)])))
+        assert {g, worked_graph()} == {worked_graph(), subdivide_all(Graph(2, [(0, 1)]))}
+
 
 class TestParse:
     def test_worked_example(self):
