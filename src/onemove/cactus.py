@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .engines import Strategy, certify, complete_with_slides
 from .graphs import (
     Graph,
+    alternating_places,
     classify,
     connected_components,
     edge_key,
@@ -312,8 +313,7 @@ def _cycle_places(
     """
     n = len(rotation)
     if not pre:
-        places = [rotation[0], rotation[1]]
-        places.extend(rotation[j] for j in range(3, n - 1, 2))
+        places = alternating_places(rotation)
         return len(places), places, "none"
     adjacent = sorted(
         tuple(sorted((rotation[i], rotation[(i + 1) % n])))
@@ -371,14 +371,15 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
     pre = set(inst.preoccupied)
     places: list[int] = []
     trace: list[str] = []
+    # The residual is always an induced subgraph of g, so its cycles are
+    # the cycles of g that still have all their vertices.
+    cycles = classify(g).cycles
     while adj:
         _leaf_rules_fixpoint(adj, pre, places, trace)
         _sweep_isolated(adj, pre, places, trace)
         if not adj:
             break
-        residual, rel = induced_subgraph(g, sorted(adj))
-        inv = {new: old for old, new in rel.items()}
-        cycles = [tuple(inv[x] for x in cyc) for cyc in classify(residual).cycles]
+        cycles = [cyc for cyc in cycles if all(w in adj for w in cyc)]
 
         isolated_cycles = sorted(
             cyc for cyc in cycles if all(len(adj[w]) == 2 for w in cyc)

@@ -24,7 +24,7 @@ from .constructions import (
     write_reduction,
 )
 from .deduction import Layout, run_deduction
-from .engines import Strategy, cfms_run, czf_run
+from .engines import Strategy, _Clearing, czf_run
 from .exact import CZF_EXACT_CEILING, cfms_exact, czf_exact, d_exact
 from .families import CliqueConstruction
 from .graphs import FAMILY_KINDS, FamilySpec, Graph, generate, parse_edge_list, write_edge_list
@@ -195,22 +195,19 @@ def _simulate_deduction(g: Graph, layout: Layout, policy: str, seed) -> None:
 
 
 def _simulate_cfms(g: Graph, strategy: Strategy) -> None:
-    cleared: frozenset = frozenset()
-    state = None
-    for i in range(len(strategy.actions)):
-        state = cfms_run(g, Strategy(strategy.actions[: i + 1]))
-        fresh = sorted(state.cleared_edges - cleared)
-        cleared = state.cleared_edges
-        label = " ".join(map(str, strategy.actions[i]))
+    run = _Clearing(g)
+    for i, act in enumerate(strategy.actions):
+        fresh = sorted(run.apply(act, i))
+        label = " ".join(map(str, act))
         if fresh:
             print(f"{label}: clears", " ".join(f"({u},{v})" for u, v in fresh))
         else:
             print(f"{label}: clears nothing")
-    success = state is not None and state.success
+    success = bool(strategy.actions) and len(run.cleared) == g.m
     if success:
         print("cleared: all")
     else:
-        print(f"cleared: {len(cleared)}/{g.m}")
+        print(f"cleared: {len(run.cleared)}/{g.m}")
     print("success:", "true" if success else "false")
 
 

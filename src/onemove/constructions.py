@@ -19,6 +19,7 @@ from .graphs import (
     Edge,
     FamilySpec,
     Graph,
+    alternating_places,
     connected_components,
     edge_key,
     edit_edge,
@@ -268,7 +269,7 @@ def subdivision_value(g: Graph) -> ParameterResult:
         for i, v in enumerate(cyc):
             ring.append(v)
             ring.append(middle[edge_key(v, cyc[(i + 1) % len(cyc)])])
-        pattern = {ring[0], ring[1]} | {ring[j] for j in range(3, len(ring) - 1, 2)}
+        pattern = set(alternating_places(ring))
         off_cycle = set(middle.values()) - set(ring)
         witness = sorted(pattern | off_cycle)
     if len(witness) != value:

@@ -92,7 +92,10 @@ def fireable(g: Graph, protected: set[int], unmoved: dict[int, int]) -> list[int
     A vertex with no unprotected neighbors never fires (nothing to deduce),
     so firing sequences contain no vacuous moves.
     """
-    adj = g.adjacency()
+    return _fireable(g.adjacency(), protected, unmoved)
+
+
+def _fireable(adj: list[list[int]], protected: set[int], unmoved: dict[int, int]) -> list[int]:
     out = []
     for v, stock in sorted(unmoved.items()):
         if stock <= 0:
@@ -168,7 +171,7 @@ def run_deduction(
             fire_stage(chosen, f"stage {i}")
     else:
         while True:
-            frs = fireable(g, protected, unmoved)
+            frs = _fireable(adj, protected, unmoved)
             if not frs:
                 break
             if policy == "all-fireable":

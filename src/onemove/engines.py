@@ -2,10 +2,14 @@
 
 Both processes share the one-move discipline of the deduction game: a
 colored vertex forces at most once, a searcher slides at most once.
+The sliding model's clearing rule lives in one stepper, _Clearing, which
+cfms_run, complete_with_slides and the CLI's simulate all drive; each
+action costs time in the degree of the vertex that gains a searcher.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -188,10 +192,77 @@ class CfmsState:
     success: bool
 
 
-def _clear_by_occupation(g: Graph, occupied: set[int], cleared: set[Edge]) -> None:
-    for e in g.edges:
-        if e not in cleared and e[0] in occupied and e[1] in occupied:
-            cleared.add(e)
+class _Clearing:
+    """The sliding model's clearing rule, applied one action at a time.
+
+    contaminated[v] counts the uncleared edges at v, so an action looks
+    only at the neighbors of the vertex that gains a searcher.
+    """
+
+    def __init__(self, g: Graph, preoccupied=frozenset()) -> None:
+        self.g = g
+        self.adj = g.adjacency()
+        self.contaminated = [len(row) for row in self.adj]
+        self.occupied: set[int] = set()
+        self.moved: set[int] = set()
+        self.ever: set[int] = set()
+        self.cleared: set[Edge] = set()
+        for v in sorted(set(preoccupied)):
+            if not 0 <= v < g.n:
+                raise ValueError(f"preoccupied vertex {v} out of range")
+            self._occupy(v)
+
+    def _occupy(self, v: int) -> list[Edge]:
+        """Put a searcher on v and clear its edges to occupied neighbors.
+
+        No vertex is occupied twice, since a searcher leaves only along the
+        last contaminated edge at its vertex, so those edges are all fresh.
+        """
+        self.occupied.add(v)
+        self.ever.add(v)
+        fresh = [edge_key(v, w) for w in self.adj[v] if w in self.occupied]
+        for a, b in fresh:
+            self.cleared.add((a, b))
+            self.contaminated[a] -= 1
+            self.contaminated[b] -= 1
+        return fresh
+
+    def contaminated_at(self, v: int) -> list[int]:
+        return [w for w in self.adj[v] if edge_key(v, w) not in self.cleared]
+
+    def place(self, v: int, i: int) -> list[Edge]:
+        """Action i puts a searcher on v; returns the edges it cleared."""
+        if not 0 <= v < self.g.n:
+            raise StrategyError(f"action {i}: place on vertex {v} out of range")
+        if v in self.occupied:
+            raise StrategyError(f"action {i}: place on occupied vertex {v}")
+        if self.adj[v] and not self.contaminated[v]:
+            raise StrategyError(f"action {i}: place on cleared vertex {v}")
+        return self._occupy(v)
+
+    def slide(self, u: int, v: int, i: int) -> list[Edge]:
+        """Action i slides the searcher at u to v; returns the edges it cleared."""
+        if not (0 <= u < self.g.n and 0 <= v < self.g.n):
+            raise StrategyError(f"action {i}: slide ({u}, {v}) out of range")
+        if not self.g.has_edge(u, v):
+            raise StrategyError(f"action {i}: slide along missing edge ({u}, {v})")
+        if u not in self.occupied:
+            raise StrategyError(f"action {i}: slide from unoccupied vertex {u}")
+        if u in self.moved:
+            raise StrategyError(f"action {i}: searcher at {u} has already slid")
+        if self.contaminated[u] != 1 or edge_key(u, v) in self.cleared:
+            raise StrategyError(
+                f"action {i}: ({u}, {v}) is not the unique contaminated edge at {u}; "
+                f"contaminated neighbors of {u} are {self.contaminated_at(u)}"
+            )
+        fresh = self._occupy(v)  # u still holds its searcher, so (u, v) clears too
+        self.occupied.discard(u)
+        self.moved.add(v)
+        return fresh
+
+    def apply(self, act: PlaceAction | SlideAction, i: int) -> list[Edge]:
+        """Action i of a Strategy; returns the edges it cleared."""
+        return self.place(act[1], i) if act[0] == "place" else self.slide(act[1], act[2], i)
 
 
 def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState:
@@ -202,60 +273,15 @@ def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState
     preoccupied start out holding a fresh searcher each.  Illegal actions
     raise StrategyError naming the zero-based action index.
     """
-    pre = sorted(set(preoccupied))
-    for v in pre:
-        if not 0 <= v < g.n:
-            raise ValueError(f"preoccupied vertex {v} out of range")
-    adj = g.adjacency()
-    occupied: set[int] = set(pre)
-    moved: set[int] = set()
-    ever: set[int] = set(pre)
-    cleared: set[Edge] = set()
-    _clear_by_occupation(g, occupied, cleared)
-
-    def contaminated_at(v: int) -> list[int]:
-        return [w for w in adj[v] if edge_key(v, w) not in cleared]
-
+    run = _Clearing(g, preoccupied)
     for i, act in enumerate(strategy.actions):
-        if act[0] == "place":
-            v = act[1]
-            if not 0 <= v < g.n:
-                raise StrategyError(f"action {i}: place on vertex {v} out of range")
-            if v in occupied:
-                raise StrategyError(f"action {i}: place on occupied vertex {v}")
-            if adj[v] and not contaminated_at(v):
-                raise StrategyError(f"action {i}: place on cleared vertex {v}")
-            occupied.add(v)
-            ever.add(v)
-        else:
-            _, u, v = act
-            if not (0 <= u < g.n and 0 <= v < g.n):
-                raise StrategyError(f"action {i}: slide ({u}, {v}) out of range")
-            if not g.has_edge(u, v):
-                raise StrategyError(f"action {i}: slide along missing edge ({u}, {v})")
-            if u not in occupied:
-                raise StrategyError(f"action {i}: slide from unoccupied vertex {u}")
-            if u in moved:
-                raise StrategyError(f"action {i}: searcher at {u} has already slid")
-            contam = contaminated_at(u)
-            if contam != [v]:
-                raise StrategyError(
-                    f"action {i}: ({u}, {v}) is not the unique contaminated edge at {u}; "
-                    f"contaminated neighbors of {u} are {contam}"
-                )
-            occupied.discard(u)
-            cleared.add(edge_key(u, v))
-            occupied.add(v)
-            moved.add(v)
-            ever.add(v)
-        _clear_by_occupation(g, occupied, cleared)
-
+        run.apply(act, i)
     return CfmsState(
-        occupied=frozenset(occupied),
-        moved=frozenset(moved),
-        cleared_edges=frozenset(cleared),
-        ever_occupied=frozenset(ever),
-        success=len(cleared) == g.m,
+        occupied=frozenset(run.occupied),
+        moved=frozenset(run.moved),
+        cleared_edges=frozenset(run.cleared),
+        ever_occupied=frozenset(run.ever),
+        success=len(run.cleared) == g.m,
     )
 
 
@@ -269,33 +295,26 @@ def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
     depends on it.
     """
     place_list = sorted(set(places))
-    pre = set(preoccupied)
-    if pre & set(place_list):
+    if set(preoccupied) & set(place_list):
         raise ValueError("placement overlaps preoccupied vertices")
-    adj = g.adjacency()
-    occupied = set(pre) | set(place_list)
-    moved: set[int] = set()
-    cleared: set[Edge] = set()
-    _clear_by_occupation(g, occupied, cleared)
-    slides: list[tuple] = []
-    while True:
-        slide = None
-        for u in sorted(occupied - moved):
-            contam = [w for w in adj[u] if edge_key(u, w) not in cleared]
-            if len(contam) == 1:
-                slide = (u, contam[0])
-                break
-        if slide is None:
-            break
-        u, v = slide
-        occupied.discard(u)
-        cleared.add(edge_key(u, v))
-        occupied.add(v)
-        moved.add(v)
-        slides.append(("slide", u, v))
-        _clear_by_occupation(g, occupied, cleared)
-    actions = tuple(("place", v) for v in place_list) + tuple(slides)
-    return Strategy(actions)
+    run = _Clearing(g, preoccupied)
+    for i, v in enumerate(place_list):
+        run.place(v, i)
+    actions: list[tuple] = [("place", v) for v in place_list]
+    # Counts only fall, so a searcher becomes ready to slide only when an
+    # edge at it clears.  The heap gets both ends of every cleared edge and
+    # skips what is not ready, so the lowest ready searcher comes out first.
+    heap = sorted(run.occupied)
+    while heap:
+        u = heapq.heappop(heap)
+        if run.contaminated[u] != 1 or u not in run.occupied or u in run.moved:
+            continue
+        (v,) = run.contaminated_at(u)
+        for e in run.slide(u, v, len(actions)):
+            for w in e:
+                heapq.heappush(heap, w)
+        actions.append(("slide", u, v))
+    return Strategy(tuple(actions))
 
 
 def deduction_to_cfms(g: Graph, layout: Layout, sequence: FiringSequence | None = None) -> Strategy:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .deduction import Layout
 from .engines import Strategy, certify, complete_with_slides
 from .exact import ParameterResult
-from .graphs import Edge, Graph, connected_components, edge_key
+from .graphs import Edge, Graph, alternating_places, connected_components, cycle_order, edge_key
 
 __all__ = [
     "DismantlingOrdering",
@@ -166,17 +166,8 @@ def unicyclic_solve(g: Graph) -> ParameterResult:
     if not on_cycle:
         value = len(adj) + deletions
     else:
-        start = min(on_cycle)
-        rotation = [start]
-        prev, cur = -1, start
-        while True:
-            nxt = min(w for w in adj[cur] if w != prev)
-            if nxt == start:
-                break
-            rotation.append(nxt)
-            prev, cur = cur, nxt
-        places.extend([rotation[0], rotation[1]])
-        places.extend(rotation[j] for j in range(3, len(rotation) - 1, 2))
+        rotation = cycle_order([(v, w) for v in on_cycle for w in adj[v] if v < w])
+        places.extend(alternating_places(rotation))
         value = g.n - len(rotation) // 2 - deletions
     places.extend(isolated)
     if len(places) != value:

@@ -477,8 +477,8 @@ def _biconnected_blocks(g: Graph) -> list[list[Edge]]:
     return blocks
 
 
-def _cycle_order(block: list[Edge]) -> tuple[int, ...]:
-    """Vertices of a cycle block in traversal order from its least vertex."""
+def cycle_order(block: list[Edge]) -> tuple[int, ...]:
+    """Vertices of a cycle, given by its edges, in traversal order from its least vertex."""
     adj: dict[int, list[int]] = {}
     for u, v in block:
         adj.setdefault(u, []).append(v)
@@ -493,6 +493,13 @@ def _cycle_order(block: list[Edge]) -> tuple[int, ...]:
         order.append(nxt)
         prev, cur = cur, nxt
     return tuple(order)
+
+
+def alternating_places(ring: tuple[int, ...] | list[int]) -> list[int]:
+    """ceil(n/2) vertices of a cycle, listed in cyclic order, that clear it
+    on their own: the first two, then every other vertex from the fourth,
+    stopping short of the last."""
+    return [ring[0], ring[1], *ring[3:-1:2]]
 
 
 def classify(g: Graph) -> GraphClass:
@@ -511,7 +518,7 @@ def classify(g: Graph) -> GraphClass:
         if len(block) == 1:
             continue
         if len(block) == len(verts):
-            cycles.append(_cycle_order(block))
+            cycles.append(cycle_order(block))
         else:
             is_cactus = False
     cycles.sort()

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from onemove import cactus
 from onemove.cactus import (
     CactusInstance,
     CactusPlan,
@@ -17,7 +18,7 @@ from onemove.cactus import (
 )
 from onemove.engines import cfms_run
 from onemove.exact import cfms_exact, czf_exact
-from onemove.graphs import FamilySpec, Graph, generate
+from onemove.graphs import FamilySpec, Graph, classify, generate
 
 
 def path_graph(n):
@@ -180,6 +181,22 @@ class TestCactusSolve:
         plan = cactus_solve(CactusInstance(g, pre))
         assert plan.additional_searchers == 2
         assert plan_clears(g, plan, pre)
+
+    def test_classifies_once(self, monkeypatch):
+        # a triangle with a triangle hung on each corner: three leaf cycles
+        g = Graph(9, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
+                      (1, 5), (5, 6), (1, 6), (2, 7), (7, 8), (2, 8)])
+        inst = CactusInstance(g)
+        calls = []
+
+        def counted(h):
+            calls.append(h.n)
+            return classify(h)
+
+        monkeypatch.setattr(cactus, "classify", counted)
+        plan = cactus_solve(inst)
+        assert plan_clears(g, plan, frozenset())
+        assert len(calls) == 1
 
     def test_trace_shape(self):
         pattern = re.compile(

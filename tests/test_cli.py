@@ -259,6 +259,18 @@ class TestSimulate:
         assert code == 2
         assert "action 0" in err
 
+    def test_cfms_steps_one_run(self, capsys, tmp_path, monkeypatch):
+        path = write(tmp_path, "p3.el", "3 2\n0 1\n1 2\n")
+        replays = count_calls(monkeypatch, engines.cfms_run)
+        code, out, err = run(
+            capsys, "simulate", "--input", path, "--model", "cfms",
+            "--strategy", "place 0; place 1; slide 0 1",
+        )
+        assert out.splitlines() == ["place 0: clears nothing", "place 1: clears (0,1)"]
+        assert code == 2
+        assert "action 2" in err
+        assert len(replays) <= 1
+
     def test_invalid_layout_is_parse_error(self, capsys, tmp_path):
         path = write(tmp_path, "k2.el", "2 1\n0 1\n")
         code, _, _ = run(capsys, "simulate", "--input", path, "--model", "czf", "--layout", "0,9")

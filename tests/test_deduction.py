@@ -106,6 +106,20 @@ class TestRun:
         assert fireable(g, {0, 1}, {1: 1}) == [1]
         assert fireable(g, {1}, {1: 1}) == []  # two unprotected neighbors
 
+    def test_adjacency_built_once_per_game(self, monkeypatch):
+        calls = []
+        adjacency = Graph.adjacency
+
+        def counted(g):
+            calls.append(g.n)
+            return adjacency(g)
+
+        monkeypatch.setattr(Graph, "adjacency", counted)
+        # 0 fires into 1, and only then can 2 fire into 3
+        state = run_deduction(generate(FamilySpec("path", 5)), Layout.standard([0, 2]))
+        assert len(state.history.stages) == 2
+        assert len(calls) == 1
+
     def test_explicit_errors_name_stage_and_vertex(self):
         g = generate(FamilySpec("path", 4))
         with pytest.raises(ValueError, match="stage 0: vertex 1"):

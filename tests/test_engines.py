@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onemove.deduction import FiringSequence, Layout, run_deduction
 from onemove.engines import (
@@ -16,7 +19,7 @@ from onemove.engines import (
     czf_run,
     deduction_to_cfms,
 )
-from onemove.graphs import FamilySpec, Graph, generate, parse_edge_list
+from onemove.graphs import FamilySpec, Graph, edge_key, generate, parse_edge_list
 
 WORKED = "7 11\n0 1\n1 2\n3 4\n4 5\n0 3\n1 4\n2 5\n1 3\n5 6\n1 6\n0 2\n"
 
@@ -221,6 +224,24 @@ class TestCompletion:
         with pytest.raises(ValueError, match="overlap"):
             complete_with_slides(g, [0], preoccupied={0})
 
+    @pytest.mark.parametrize(
+        "places, pre",
+        [([-1], frozenset()), ([5], frozenset()), ([], frozenset({7}))],
+        ids=["negative", "too-large", "preoccupied"],
+    )
+    def test_out_of_range_rejected(self, places, pre):
+        g = Graph(3, frozenset({(0, 1), (1, 2)}))
+        with pytest.raises(ValueError, match="out of range"):
+            complete_with_slides(g, places, preoccupied=pre)
+
+    def test_long_path_within_budget(self):
+        # Rescanning every edge after every action took tens of seconds here.
+        g = generate(FamilySpec("path", 10_000))
+        start = time.perf_counter()
+        state = cfms_run(g, complete_with_slides(g, range(0, g.n, 2)))
+        assert time.perf_counter() - start < 2.0
+        assert state.success
+
     def test_matches_any_maximal_order(self):
         # the greedy canonical order reaches the same cleared set as
         # random maximal slide orders
@@ -250,6 +271,156 @@ class TestCompletion:
                     if a in occupied and b in occupied:
                         cleared.add((a, b))
             assert cleared == canonical.cleared_edges
+
+
+def rescan_run(g: Graph, actions, preoccupied=frozenset()) -> CfmsState:
+    """Reference sliding engine: every edge is rescanned for double
+    occupation after every action."""
+    pre = sorted(set(preoccupied))
+    for v in pre:
+        if not 0 <= v < g.n:
+            raise ValueError(f"preoccupied vertex {v} out of range")
+    adj = g.adjacency()
+    occupied, moved, ever, cleared = set(pre), set(), set(pre), set()
+
+    def rescan():
+        cleared.update(e for e in g.edges if e[0] in occupied and e[1] in occupied)
+
+    def contaminated_at(v):
+        return [w for w in adj[v] if edge_key(v, w) not in cleared]
+
+    rescan()
+    for i, act in enumerate(actions):
+        if act[0] == "place":
+            v = act[1]
+            if not 0 <= v < g.n:
+                raise StrategyError(f"action {i}: place on vertex {v} out of range")
+            if v in occupied:
+                raise StrategyError(f"action {i}: place on occupied vertex {v}")
+            if adj[v] and not contaminated_at(v):
+                raise StrategyError(f"action {i}: place on cleared vertex {v}")
+        else:
+            _, u, v = act
+            if not (0 <= u < g.n and 0 <= v < g.n):
+                raise StrategyError(f"action {i}: slide ({u}, {v}) out of range")
+            if not g.has_edge(u, v):
+                raise StrategyError(f"action {i}: slide along missing edge ({u}, {v})")
+            if u not in occupied:
+                raise StrategyError(f"action {i}: slide from unoccupied vertex {u}")
+            if u in moved:
+                raise StrategyError(f"action {i}: searcher at {u} has already slid")
+            contam = contaminated_at(u)
+            if contam != [v]:
+                raise StrategyError(
+                    f"action {i}: ({u}, {v}) is not the unique contaminated edge at {u}; "
+                    f"contaminated neighbors of {u} are {contam}"
+                )
+            occupied.discard(u)
+            cleared.add(edge_key(u, v))
+            moved.add(v)
+        occupied.add(v)
+        ever.add(v)
+        rescan()
+    return CfmsState(
+        frozenset(occupied), frozenset(moved), frozenset(cleared), frozenset(ever),
+        len(cleared) == g.m,
+    )
+
+
+def rescan_complete(g: Graph, places, preoccupied=frozenset()) -> Strategy:
+    """Reference completion: scan for the lowest-index unslid searcher with
+    one contaminated edge, slide it, rescan."""
+    adj = g.adjacency()
+    actions = [("place", v) for v in sorted(set(places))]
+    while True:
+        state = rescan_run(g, actions, preoccupied)
+        for u in sorted(state.occupied - state.moved):
+            contam = [w for w in adj[u] if edge_key(u, w) not in state.cleared_edges]
+            if len(contam) == 1:
+                actions.append(("slide", u, contam[0]))
+                break
+        else:
+            return Strategy(tuple(actions))
+
+
+@st.composite
+def sliding_inputs(draw):
+    """A graph on up to 10 vertices, preoccupied vertices, and placements."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    pre = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    places = draw(st.sets(st.integers(0, n - 1).filter(lambda v: v not in pre)))
+    return Graph(n, frozenset(edges)), frozenset(pre), sorted(places)
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestAgainstRescan:
+    @settings(max_examples=300, deadline=None)
+    @given(sliding_inputs())
+    def test_completion_matches_lowest_index_scan(self, inst):
+        g, pre, places = inst
+        assert complete_with_slides(g, places, pre) == rescan_complete(g, places, pre)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sliding_inputs(), st.data())
+    def test_run_matches_on_altered_strategies(self, inst, data):
+        g, pre, places = inst
+        actions = list(rescan_complete(g, places, pre).actions)
+        vertex = st.integers(-1, g.n)
+        k = data.draw(st.integers(0, len(actions)))
+        edit = data.draw(st.sampled_from(["place", "slide", "drop", "repeat"]))
+        if edit == "place":
+            actions[k : k + 1] = [("place", data.draw(vertex))]
+        elif edit == "slide":
+            actions[k : k + 1] = [("slide", data.draw(vertex), data.draw(vertex))]
+        elif actions:
+            j = data.draw(st.integers(0, len(actions) - 1))
+            if edit == "drop":
+                del actions[j]
+            else:
+                actions.insert(k, actions[j])
+        strategy = Strategy(tuple(actions))
+        assert outcome(cfms_run, g, strategy, pre) == outcome(rescan_run, g, actions, pre)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sliding_inputs(), st.data())
+    def test_run_matches_on_random_plays(self, inst, data):
+        # A legal play in any order, then one action that may be illegal.
+        g, pre, _ = inst
+        adj = g.adjacency()
+        rng = data.draw(st.randoms(use_true_random=False))
+        actions: list[tuple] = []
+        while rng.random() < 0.9:
+            state = rescan_run(g, actions, pre)
+            contam = [
+                [w for w in adj[v] if edge_key(v, w) not in state.cleared_edges]
+                for v in range(g.n)
+            ]
+            legal = [
+                ("place", v)
+                for v in range(g.n)
+                if v not in state.occupied and (contam[v] or not adj[v])
+            ]
+            legal += [
+                ("slide", u, *contam[u])
+                for u in sorted(state.occupied - state.moved)
+                if len(contam[u]) == 1
+            ]
+            if not legal:
+                break
+            actions.append(rng.choice(legal))
+        last = [("place", v) for v in range(g.n)]
+        last += [("slide", u, v) for u in range(g.n) for v in adj[u]]
+        actions.append(rng.choice(last))
+        strategy = Strategy(tuple(actions))
+        assert outcome(cfms_run, g, strategy, pre) == outcome(rescan_run, g, actions, pre)
 
 
 class TestDeductionBridge:
