@@ -13,6 +13,7 @@ engine before it is returned.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .engines import Strategy, certify, complete_with_slides
@@ -116,27 +117,35 @@ def _leaf_rules_fixpoint(
     Rule 2: both occupied: the leaf alone goes, the neighbor keeps its
     searcher.  Rule 3: occupied leaf: its searcher slides in, both go.
     Rule 4: occupied neighbor: its searcher slides out, both go.  Lowest
-    rule number first, lowest leaf within a rule.
+    rule number first, lowest leaf within a rule.  A heap holds every
+    vertex whose degree has dropped to 1; entries that are no longer
+    leaves are skipped.
     """
-    while True:
-        best: tuple[int, int, int] | None = None
-        for v, ws in adj.items():
-            if len(ws) != 1:
-                continue
-            u = next(iter(ws))
-            if v in pre:
-                rule = 2 if u in pre else 3
-            else:
-                rule = 4 if u in pre else 1
-            if best is None or (rule, v) < (best[0], best[1]):
-                best = (rule, v, u)
-        if best is None:
-            return
-        rule, v, u = best
+    heap: list[tuple[int, int, int]] = []
+
+    def push(v: int) -> None:
+        u = next(iter(adj[v]))
+        if v in pre:
+            heapq.heappush(heap, (2 if u in pre else 3, v, u))
+        else:
+            heapq.heappush(heap, (4 if u in pre else 1, v, u))
+
+    for v, ws in adj.items():
+        if len(ws) == 1:
+            push(v)
+    while heap:
+        rule, v, u = heapq.heappop(heap)
+        if len(adj.get(v, ())) != 1:
+            continue
         trace.append(f"step{rule} v={v} u={u}")
         if rule == 1:
             places.append(v)
-        _delete(adj, pre, (v,) if rule == 2 else (v, u))
+        gone = (v,) if rule == 2 else (v, u)
+        touched = {x for w in gone for x in adj[w]}
+        _delete(adj, pre, gone)
+        for x in touched:
+            if len(adj.get(x, ())) == 1:
+                push(x)
 
 
 def _sweep_isolated(

@@ -5,7 +5,11 @@ that replays on the simulation engines: a sliding strategy for trees,
 unicyclic graphs, and attached-tree graphs, and a searcher layout for
 clique-constructed graphs.  Pendant-edge dismantling orderings act as
 certificates in their own right; any two orderings of the same graph
-have equal length, so the count they certify is well defined.
+have equal length, so the count they certify is well defined.  Trees,
+unicyclic graphs, dismantling and attached trees all start from one
+greedy pendant peel (graphs.peel_pendants): deleting any pendant edge
+of a dismantlable graph leaves a dismantlable graph, so no search is
+needed.
 """
 
 from __future__ import annotations
@@ -15,7 +19,15 @@ from dataclasses import dataclass
 from .deduction import Layout
 from .engines import Strategy, certify, complete_with_slides
 from .exact import ParameterResult
-from .graphs import Edge, Graph, alternating_places, connected_components, cycle_order, edge_key
+from .graphs import (
+    Edge,
+    Graph,
+    alternating_places,
+    connected_components,
+    cycle_order,
+    edge_key,
+    peel_pendants,
+)
 
 __all__ = [
     "DismantlingOrdering",
@@ -67,62 +79,30 @@ class CliqueConstruction:
 # ---------------------------------------------------------------------------
 
 
-def _forest_pairing(t: Graph) -> list[tuple[int, int]]:
-    """Greedy children-first pairing; returns (parent, child) pairs.
-
-    Processing every vertex after all of its descendants and pairing it
-    with its lowest unpaired child yields a maximum matching of the
-    forest, and the pairs come out in an order that lets each child slide
-    onto its parent.
-    """
-    adj = t.adjacency()
-    parent = [-1] * t.n
-    paired = [False] * t.n
-    pairs: list[tuple[int, int]] = []
-    for comp in connected_components(t):
-        root = comp[0]
-        order = [root]
-        stack = [root]
-        seen = {root}
-        while stack:
-            v = stack.pop()
-            if v != root:
-                order.append(v)
-            for w in sorted(adj[v], reverse=True):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    stack.append(w)
-        for u in reversed(order):
-            if paired[u]:
-                continue
-            for v in sorted(adj[u]):
-                if v != parent[u] and not paired[v]:
-                    paired[u] = paired[v] = True
-                    pairs.append((u, v))
-                    break
-    return pairs
+def _pairs_strategy(g: Graph, oriented: list[tuple[int, int]]) -> Strategy:
+    """Certified strategy for pendant pairs (degree-1 end, other end) in
+    deletion order: place on every vertex but the other ends, then slide
+    each degree-1 end across its edge in turn."""
+    targets = {p for _, p in oriented}
+    actions: list[tuple] = [("place", v) for v in range(g.n) if v not in targets]
+    actions.extend(("slide", c, p) for c, p in oriented)
+    strategy = Strategy(tuple(actions))
+    certify(g, strategy)
+    return strategy
 
 
 def tree_solve(t: Graph) -> ParameterResult:
     """Minimum searchers for a forest, with a replayable sliding strategy.
 
-    Pairs each vertex with an unpaired child working upward from the
-    leaves.  Placing a searcher on every paired child and every unpaired
-    vertex, then sliding each paired child onto its parent in pairing
-    order, clears the forest with n - k searchers where k is the number
-    of pairs.
+    A forest peels down to isolated vertices.  Placing a searcher on
+    every vertex except the other ends of the k peeled pairs, then
+    sliding each degree-1 end across its edge in deletion order, clears
+    the forest with n - k searchers.
     """
     if t.m != t.n - len(connected_components(t)):
         raise ValueError("input graph is not a forest")
-    pairs = _forest_pairing(t)
-    parents = {u for u, _ in pairs}
-    places = [v for v in range(t.n) if v not in parents]
-    actions: list[tuple] = [("place", v) for v in places]
-    actions.extend(("slide", v, u) for u, v in pairs)
-    strategy = Strategy(tuple(actions))
-    certify(t, strategy)
-    return ParameterResult(value=t.n - len(pairs), witness=strategy, method="tree")
+    pairs, _ = peel_pendants(t)
+    return ParameterResult(value=t.n - len(pairs), witness=_pairs_strategy(t, pairs), method="tree")
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +121,9 @@ def unicyclic_solve(g: Graph) -> ParameterResult:
     comps = connected_components(g)
     if len(comps) != 1 or g.m != g.n:
         raise ValueError("input graph is not connected unicyclic")
-    adj = {v: set(ws) for v, ws in enumerate(g.adjacency())}
-    places: list[int] = []
-    deletions = 0
-    while True:
-        leaf = min((v for v, ws in adj.items() if len(ws) == 1), default=None)
-        if leaf is None:
-            break
-        u = next(iter(adj[leaf]))
-        places.append(leaf)
-        deletions += 1
-        for w in (leaf, u):
-            for x in adj[w]:
-                if x != leaf and x != u:
-                    adj[x].discard(w)
-        del adj[leaf]
-        del adj[u]
+    pairs, adj = peel_pendants(g)
+    places = [leaf for leaf, _ in pairs]
+    deletions = len(pairs)
 
     isolated = sorted(v for v, ws in adj.items() if not ws)
     on_cycle = {v for v, ws in adj.items() if len(ws) == 2}
@@ -184,42 +151,18 @@ def unicyclic_solve(g: Graph) -> ParameterResult:
 
 
 def pendent_dismantle(g: Graph, *, stats: dict | None = None) -> DismantlingOrdering | None:
-    """Search for a pendant-edge dismantling ordering.
+    """The greedy pendant-edge dismantling ordering, or None if an edge survives.
 
-    Backtracks over the choice of pendant edge at every step, memoizing
-    residual vertex sets that cannot be finished.  Greedy choice is not
-    known to be safe here, so the search is exhaustive; pass a stats dict
-    to read back how many branches were abandoned.
+    Greedy choice is safe (see graphs.peel_pendants), so the peel decides
+    dismantlability without search.  A stats dict gets "backtracks" = 0,
+    kept for callers that count search work.
     """
-    adj = g.adjacency()
-    failed: set[frozenset[int]] = set()
-    backtracks = 0
-
-    def search(alive: frozenset[int], acc: list[Edge]) -> bool:
-        nonlocal backtracks
-        degree = {v: sum(1 for w in adj[v] if w in alive) for v in alive}
-        if all(d == 0 for d in degree.values()):
-            return True
-        if alive in failed:
-            return False
-        candidates = sorted(
-            {edge_key(v, next(w for w in adj[v] if w in alive)) for v in alive if degree[v] == 1}
-        )
-        for e in candidates:
-            acc.append(e)
-            if search(alive - set(e), acc):
-                return True
-            acc.pop()
-            backtracks += 1
-        failed.add(alive)
-        return False
-
-    acc: list[Edge] = []
-    found = search(frozenset(range(g.n)), acc)
-    failed.clear()  # search is a closure cycle; free its memo now, not at the next gc pass
+    peeled, residual = peel_pendants(g)
     if stats is not None:
-        stats["backtracks"] = backtracks
-    return DismantlingOrdering(tuple(acc)) if found else None
+        stats["backtracks"] = 0
+    if any(residual.values()):
+        return None
+    return DismantlingOrdering(tuple(edge_key(a, b) for a, b in peeled))
 
 
 def _replay_ordering(g: Graph, o: DismantlingOrdering) -> list[tuple[int, int]]:
@@ -266,13 +209,7 @@ def dismantling_strategy(g: Graph, o: DismantlingOrdering) -> Strategy:
     every surviving vertex, then slides each degree-1 endpoint across its
     edge in deletion order.
     """
-    oriented = _replay_ordering(g, o)
-    targets = {p for _, p in oriented}
-    actions: list[tuple] = [("place", v) for v in range(g.n) if v not in targets]
-    actions.extend(("slide", c, p) for c, p in oriented)
-    strategy = Strategy(tuple(actions))
-    certify(g, strategy)
-    return strategy
+    return _pairs_strategy(g, _replay_ordering(g, o))
 
 
 # ---------------------------------------------------------------------------
@@ -377,57 +314,6 @@ def _has_odd_leaf(children: dict[int, list[int]], root: int) -> bool:
     return any(not children[v] and depth[v] % 2 == 1 for v in children)
 
 
-def _saturable(children: dict[int, list[int]], root: int) -> dict[int, bool]:
-    """Which vertices can be consumed by pendant removals inside their subtree.
-
-    A vertex is saturable when some child has only saturable children;
-    pairing with that child works once each grandchild below it has been
-    consumed first.  Leaves are not saturable.
-    """
-    sat: dict[int, bool] = {}
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    for v in reversed(order):
-        sat[v] = any(all(sat[x] for x in children[c]) for c in children[v])
-    return sat
-
-
-def _consume(u: int, children: dict[int, list[int]], sat: dict[int, bool],
-              pairs: list[tuple[int, int]], leftovers: list[int]) -> None:
-    """Emit pendant pairs that delete u by pairing it with a chosen child."""
-    c = min(c for c in children[u] if all(sat[x] for x in children[c]))
-    for x in children[c]:
-        _consume(x, children, sat, pairs, leftovers)
-    leftovers.extend(d for d in children[u] if d != c)
-    pairs.append((u, c))
-
-
-def _standard_pairs(root: int, children: dict[int, list[int]],
-                    pairs: list[tuple[int, int]]) -> None:
-    """Greedy children-first pairing of a rooted subtree, in deletion order."""
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v != root:
-            order.append(v)
-        stack.extend(reversed(children[v]))
-    paired: set[int] = set()
-    for u in reversed(order):
-        if u in paired:
-            continue
-        for w in children[u]:
-            if w not in paired:
-                paired.add(u)
-                paired.add(w)
-                pairs.append((u, w))
-                break
-
-
 def attach_trees_solve(g: Graph, h: Graph, attachment: dict[int, frozenset[int]]) -> ParameterResult:
     """Minimum searchers for a graph with a tree hung on every vertex.
 
@@ -435,10 +321,8 @@ def attach_trees_solve(g: Graph, h: Graph, attachment: dict[int, frozenset[int]]
     the tree induced on {v} | attachment[v].  Each tree needs a leaf at odd
     distance from its base vertex; violations name the vertex.  That alone
     does not guarantee the base vertex can be absorbed by pendant-edge
-    removals, so when every tree can absorb its base on its own the
-    ordering is assembled directly in linear time, and otherwise a global
-    backtracking dismantle decides the instance, erroring on the blocking
-    base vertex if none exists.
+    removals, so the greedy pendant peel of h decides the instance, and a
+    failure names the least base vertex that keeps an edge.
     """
     if h.n < g.n:
         raise ValueError("h has fewer vertices than g")
@@ -471,31 +355,17 @@ def attach_trees_solve(g: Graph, h: Graph, attachment: dict[int, frozenset[int]]
             if tu != tw:
                 raise ValueError(f"edge ({u}, {w}) crosses between different attachments")
 
-    pairs: list[tuple[int, int]] = []
-    stuck: list[int] = []
     for v in range(g.n):
         members = frozenset({v} | set(attachment.get(v, frozenset())))
-        children = _tree_children(h, members, v)
-        if not _has_odd_leaf(children, v):
+        if not _has_odd_leaf(_tree_children(h, members, v), v):
             raise ValueError(f"tree attached at vertex {v} has no leaf at odd distance from it")
-        sat = _saturable(children, v)
-        if not any(all(sat[x] for x in children[c]) for c in children[v]):
-            stuck.append(v)
-            continue
-        leftovers: list[int] = []
-        _consume(v, children, sat, pairs, leftovers)
-        for d in leftovers:
-            _standard_pairs(d, children, pairs)
 
-    if not stuck:
-        ordering = DismantlingOrdering(tuple(edge_key(u, c) for u, c in pairs))
-    else:
-        found = pendent_dismantle(h)
-        if found is None:
-            raise ValueError(
-                f"tree attached at vertex {stuck[0]} cannot absorb its base vertex"
-                " by pendant-edge removals"
-            )
-        ordering = found
-    strategy = dismantling_strategy(h, ordering)
-    return ParameterResult(value=h.n - len(ordering), witness=strategy, method="dismantle")
+    pairs, residual = peel_pendants(h)
+    blocked = min((v for v in range(g.n) if residual.get(v)), default=None)
+    if blocked is not None:
+        raise ValueError(
+            f"tree attached at vertex {blocked} cannot absorb its base vertex"
+            " by pendant-edge removals"
+        )
+    strategy = _pairs_strategy(h, pairs)
+    return ParameterResult(value=h.n - len(pairs), witness=strategy, method="dismantle")

@@ -6,6 +6,7 @@ Graphs are immutable; every edit returns a new value.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 Edge = tuple[int, int]
@@ -493,6 +494,39 @@ def cycle_order(block: list[Edge]) -> tuple[int, ...]:
         order.append(nxt)
         prev, cur = cur, nxt
     return tuple(order)
+
+
+def peel_pendants(g: Graph) -> tuple[list[tuple[int, int]], dict[int, set[int]]]:
+    """Delete pendant edges, least edge_key first, until none is left.
+
+    Returns the deleted edges as (degree-1 end, other end) in deletion
+    order, where the smaller end counts as the degree-1 end when both
+    have degree 1, and the residual adjacency of the surviving vertices.
+    Deleting an edge deletes both of its ends.  The order is safe: let vu
+    be pendant with deg v = 1 in a graph that some complete ordering S
+    empties.  If S deletes uv itself, moving that step to the front keeps
+    every earlier step pendant, since deleting u and v only lowers
+    degrees and each earlier step keeps its own edge.  If S instead
+    deletes u with another leaf w, deleting uv there leaves w isolated in
+    place of v and changes no later step.  Either way G - {u, v} is
+    dismantlable, so one greedy pass empties every dismantlable graph, in
+    O((n + m) log n).
+    """
+    adj = {v: set(ws) for v, ws in enumerate(g.adjacency())}
+    heap = [edge_key(v, next(iter(ws))) for v, ws in adj.items() if len(ws) == 1]
+    heapq.heapify(heap)
+    peeled: list[tuple[int, int]] = []
+    while heap:
+        a, b = heapq.heappop(heap)
+        if a not in adj or b not in adj:
+            continue
+        peeled.append((a, b) if len(adj[a]) == 1 else (b, a))
+        for x in adj.pop(a) | adj.pop(b):
+            if x in adj:
+                adj[x] -= {a, b}
+                if len(adj[x]) == 1:
+                    heapq.heappush(heap, edge_key(x, next(iter(adj[x]))))
+    return peeled, adj
 
 
 def alternating_places(ring: tuple[int, ...] | list[int]) -> list[int]:

@@ -18,7 +18,6 @@ from .families import (
     DismantlingOrdering,
     clique_construction_layout,
     clique_construction_value,
-    dismantlable_value,
     dismantling_strategy,
     pendent_dismantle,
     tree_solve,
@@ -92,8 +91,7 @@ def solve(
             ordering = pendent_dismantle(g)
         if ordering is None:
             raise ValueError("graph is not dismantlable by pendent edge deletions")
-        value = dismantlable_value(g, ordering)
-        return Solution(value, method, dismantling_strategy(g, ordering))
+        return Solution(g.n - len(ordering), method, dismantling_strategy(g, ordering))
     if method == "clique":
         if construction is None:
             raise ValueError("the clique method needs a construction")

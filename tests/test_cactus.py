@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 
@@ -197,6 +198,18 @@ class TestCactusSolve:
         plan = cactus_solve(inst)
         assert plan_clears(g, plan, frozenset())
         assert len(calls) == 1
+
+    def test_long_tail_within_budget(self):
+        # A pentagon with a path to 20,000 vertices: rescanning the residual
+        # for the next leaf after every deletion took about 5 s here.
+        n = 20_000
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)]
+        edges += [(v, v + 1) for v in range(5, n - 1)]
+        inst = CactusInstance(Graph(n, edges))
+        start = time.perf_counter()
+        plan = cactus_solve(inst)
+        assert time.perf_counter() - start < 2.0
+        assert plan.additional_searchers == n // 2
 
     def test_trace_shape(self):
         pattern = re.compile(

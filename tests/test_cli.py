@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from onemove import cli, engines, families
 from onemove.engines import Strategy, cfms_run
 from onemove.exact import czf_exact
-from onemove.graphs import parse_edge_list
+from onemove.graphs import Graph, parse_edge_list
+from onemove.solver import solve
 
 WORKED = "7 11\n0 1\n1 2\n3 4\n4 5\n0 3\n1 4\n2 5\n1 3\n5 6\n1 6\n0 2\n"
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -156,11 +158,25 @@ class TestSolve:
         path = write(tmp_path, "g.el", text)
         replays = count_calls(monkeypatch, engines.cfms_run)
         searches = count_calls(monkeypatch, families.pendent_dismantle)
+        orderings = count_calls(monkeypatch, families._replay_ordering)
         code, out, _ = run(capsys, "solve", "--input", path)
         assert (code, json.loads(out)["method"]) == (0, method)
         assert len(replays) == 1
         if method == "dismantle":
             assert len(searches) == 1
+            assert len(orderings) == 1
+
+    def test_router_refuses_before_any_search(self):
+        # K19 with 14 pendants (n = 33) is over the exact ceiling; an
+        # exhaustive dismantling search took about 4 s to reject it first.
+        p, k = 14, 19
+        edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        edges += [(i, k + i) for i in range(p)]
+        g = Graph(k + p, edges)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="refused"):
+            solve(g)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestVerify:

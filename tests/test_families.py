@@ -1,8 +1,11 @@
 """Family solvers against the exhaustive oracle and frozen small cases."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onemove.engines import cfms_run
 from onemove.exact import alpha_exact, czf_exact
@@ -19,7 +22,7 @@ from onemove.families import (
     unicyclic_solve,
 )
 from onemove.deduction import is_successful
-from onemove.graphs import FamilySpec, Graph, generate
+from onemove.graphs import FamilySpec, Graph, edge_key, generate
 
 
 def random_tree(rng, n):
@@ -38,6 +41,13 @@ def random_unicyclic(rng, n):
 
 def random_graph(rng, n, p):
     edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    return Graph(n, edges)
+
+
+def pentagon_with_tail(n):
+    """A 5-cycle on 0..4 with a path 0-5-6-...-(n-1) hanging from vertex 0."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)]
+    edges += [(v, v + 1) for v in range(5, n - 1)]
     return Graph(n, edges)
 
 
@@ -109,6 +119,15 @@ class TestUnicyclicSolve:
         with pytest.raises(ValueError):
             unicyclic_solve(generate(FamilySpec("bowtie", 5)))
 
+    def test_long_tail_within_budget(self):
+        # Rescanning the residual for the least leaf after every deletion
+        # took about 5 s here.
+        g = pentagon_with_tail(20_000)
+        start = time.perf_counter()
+        r = unicyclic_solve(g)
+        assert time.perf_counter() - start < 2.0
+        assert r.value == 10_000
+
     def test_matches_oracle_and_replays(self):
         rng = random.Random(43)
         for _ in range(100):
@@ -135,10 +154,10 @@ class TestPendentDismantle:
             assert pendent_dismantle(t) is not None
 
     def test_backtrack_stats_recorded(self):
+        # A backtracking search abandons branches on this graph; the peel never does.
         stats = {}
-        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
-        pendent_dismantle(g, stats=stats)
-        assert stats["backtracks"] >= 0
+        assert pendent_dismantle(pentagon_with_tail(7), stats=stats) is None
+        assert stats["backtracks"] == 0
 
     def test_all_orderings_share_length(self):
         # Every successful ordering of one graph certifies the same count.
@@ -174,6 +193,53 @@ class TestPendentDismantle:
         for g in graphs:
             lengths = {len(o) for o in all_orderings(g)}
             assert len(lengths) <= 1
+
+
+def backtracking_dismantle(g):
+    """Reference: exhaustive search over the pendant edge to delete at each
+    step, least edge first, memoizing residual vertex sets that fail."""
+    adj = g.adjacency()
+    failed = set()
+
+    def search(alive, acc):
+        degree = {v: sum(1 for w in adj[v] if w in alive) for v in alive}
+        if all(d == 0 for d in degree.values()):
+            return True
+        if alive in failed:
+            return False
+        candidates = sorted(
+            {edge_key(v, next(w for w in adj[v] if w in alive)) for v in alive if degree[v] == 1}
+        )
+        for e in candidates:
+            acc.append(e)
+            if search(alive - set(e), acc):
+                return True
+            acc.pop()
+        failed.add(alive)
+        return False
+
+    acc = []
+    found = search(frozenset(range(g.n)), acc)
+    return DismantlingOrdering(tuple(acc)) if found else None
+
+
+@st.composite
+def pendant_graphs(draw):
+    """A graph on up to 10 vertices, with a pendant hung on some of its
+    vertices (sometimes every one)."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    hung = sorted(draw(st.one_of(st.just(set(range(n))), st.sets(st.integers(0, n - 1)))))
+    edges |= {(v, n + i) for i, v in enumerate(hung)}
+    return Graph(n + len(hung), frozenset(edges))
+
+
+class TestAgainstBacktracking:
+    @settings(max_examples=300, deadline=None)
+    @given(pendant_graphs())
+    def test_peel_matches_search(self, g):
+        assert pendent_dismantle(g) == backtracking_dismantle(g)
 
 
 class TestDismantlableValue:
@@ -380,6 +446,23 @@ class TestAttachTrees:
         r = attach_trees_solve(Graph(2, [(0, 1)]), h, att)
         assert r.value == 4
         assert r.value == czf_exact(h).value
+
+    def test_error_names_blocking_base_vertex(self):
+        # Vertices 0 and 1 fall to the peel; the triangle 2-3-4 keeps its edges.
+        base = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)]
+        edges = list(base)
+        att = {}
+        nxt = 5
+        for v in (0, 2, 3, 4):
+            a, b, c, d = nxt, nxt + 1, nxt + 2, nxt + 3
+            edges += [(v, a), (a, b), (a, c), (c, d)]
+            att[v] = frozenset({a, b, c, d})
+            nxt += 4
+        edges.append((1, nxt))
+        att[1] = frozenset({nxt})
+        h = Graph(nxt + 1, edges)
+        with pytest.raises(ValueError, match="at vertex 2 cannot absorb"):
+            attach_trees_solve(Graph(5, base), h, att)
 
     def test_rejects_cross_tree_edges(self):
         g = Graph(2, [(0, 1)])

@@ -17,6 +17,7 @@ from onemove.graphs import (
     generate,
     induced_subgraph,
     parse_edge_list,
+    peel_pendants,
     strong_product_k2,
     subdivide_all,
     write_edge_list,
@@ -304,3 +305,20 @@ class TestClassify:
         assert edge_key(3, 1) == (1, 3)
         with pytest.raises(ValueError):
             edge_key(2, 2)
+
+
+class TestPeelPendants:
+    def test_lone_edge_orients_from_smaller_end(self):
+        assert peel_pendants(Graph(2, frozenset({(0, 1)}))) == ([(0, 1)], {})
+
+    def test_least_edge_first_and_residual(self):
+        # a triangle 0-1-2 with a tail 2-3-4 and an isolated vertex 5
+        g = Graph(6, frozenset({(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)}))
+        peeled, residual = peel_pendants(g)
+        assert peeled == [(4, 3)]
+        assert residual == {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 5: set()}
+
+    def test_path_peels_from_its_least_pendant_edge(self):
+        peeled, residual = peel_pendants(generate(FamilySpec("path", 5)))
+        assert peeled == [(0, 1), (2, 3)]
+        assert residual == {4: set()}
