@@ -3,7 +3,8 @@
 Every specialized solver in this package is validated against these
 routines, so they stay deliberately independent of each other: the three
 process oracles simulate their own process definitions and share no
-shortcuts beyond the graph representation.
+shortcuts beyond the graph representation, and the matching oracle
+searches orderings of matchings without playing any process.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .deduction import Layout, run_deduction
 from .engines import Strategy, cfms_run, complete_with_slides, czf_run
-from .graphs import Graph, adjacency_masks, connected_components, induced_subgraph
+from .graphs import Graph, adjacency_masks, connected_components, edge_key, induced_subgraph
 
 CZF_EXACT_CEILING = 24
 MU_EXACT_CEILING = 16
@@ -227,22 +228,61 @@ def czf_value_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _deduction_closure(nbrs: list[int], counts: dict[int, int]) -> int:
+    """Bitset protected set of a deduction game from the given layout.
+
+    A vertex v holding c searchers fires once, when 1 <= |N(v) - P| <= c,
+    and then P |= N(v).  Firing only grows P, which only makes the rule
+    easier to meet, so playing to a fixpoint gives the all-fireable game's
+    protected set.
+    """
+    protected = 0
+    for v in counts:
+        protected |= 1 << v
+    waiting = list(counts.items())
+    progress = True
+    while progress:
+        progress = False
+        still = []
+        for v, c in waiting:
+            unc = nbrs[v] & ~protected
+            if not unc:
+                continue
+            if unc.bit_count() <= c:
+                protected |= unc
+                progress = True
+            else:
+                still.append((v, c))
+        waiting = still
+    return protected
+
+
 def d_exact(g: Graph) -> ParameterResult:
     """Minimum total searchers over all layouts, including repeats.
 
     Enumerates layouts by ascending total, so the result does not assume
     that one searcher per vertex suffices; that fact comes out of the
-    equivalence checks instead.
+    equivalence checks instead.  Totals start at ceil(n/2): a vertex that
+    fires sends one searcher per newly protected neighbor, so t searchers
+    protect at most |support| + t <= 2t vertices.  Each layout is played
+    with a bitset closure of the firing rule, and the layout found is
+    replayed once through run_deduction.
     """
     if g.n == 0:
         return ParameterResult(0, Layout({}), "exact")
-    for total in range(1, g.n + 1):
+    nbrs = adjacency_masks(g)
+    full = (1 << g.n) - 1
+    for total in range(max(1, (g.n + 1) // 2), g.n + 1):
         for spots in itertools.combinations_with_replacement(range(g.n), total):
             counts: dict[int, int] = {}
             for v in spots:
                 counts[v] = counts.get(v, 0) + 1
-            layout = Layout(counts)
-            if len(run_deduction(g, layout).protected) == g.n:
+            if _deduction_closure(nbrs, counts) == full:
+                layout = Layout(counts)
+                if len(run_deduction(g, layout).protected) != g.n:
+                    raise RuntimeError(
+                        f"deduction closure and run_deduction disagree on {counts}; this is a bug"
+                    )
                 return ParameterResult(total, layout, "exact")
     raise AssertionError("placing a searcher on every vertex always succeeds")
 
@@ -259,13 +299,15 @@ def cfms_exact(g: Graph, preoccupied=frozenset()) -> ParameterResult:
     accepted when all edges clear and every vertex was occupied at some
     point (a searcher must visit even an edgeless vertex).  Pre-occupied
     vertices contribute free searchers and are excluded from placement.
-    With no pre-occupation the value is cross-checked against the
-    deduction oracle and a mismatch raises RuntimeError.
+    The search starts at ceil(n/2) - |pre| placements: a searcher slides
+    at most once, so it occupies at most two vertices, and every vertex
+    must be occupied.  With no pre-occupation the value is cross-checked
+    against the deduction oracle and a mismatch raises RuntimeError.
     """
     pre = frozenset(preoccupied)
     free = sorted(set(range(g.n)) - pre)
     found: ParameterResult | None = None
-    for s in range(len(free) + 1):
+    for s in range(max(0, (g.n + 1) // 2 - len(pre)), len(free) + 1):
         for combo in itertools.combinations(free, s):
             strategy = complete_with_slides(g, combo, preoccupied=pre)
             state = cfms_run(g, strategy, preoccupied=pre)
@@ -291,49 +333,24 @@ def cfms_exact(g: Graph, preoccupied=frozenset()) -> ParameterResult:
 # ---------------------------------------------------------------------------
 
 
-def _count_perfect_matchings(v1: list[int], nbr_masks: list[int], limit: int = 2) -> int:
+def _count_perfect_matchings(nbr_masks: list[int], limit: int = 2, i: int = 0, used: int = 0) -> int:
     """Count perfect matchings of a bipartite graph, stopping at limit.
 
-    nbr_masks[i] is the bitmask over v2 positions adjacent to v1[i].
+    nbr_masks[i] is the bitmask over second-side positions adjacent to the
+    i-th first-side vertex; i and used are the recursion's position and
+    the second-side positions already matched.
     """
-
-    def rec(i: int, used: int) -> int:
-        if i == len(v1):
-            return 1
-        total = 0
-        m = nbr_masks[i] & ~used
-        while m:
-            b = m & -m
-            m ^= b
-            total += rec(i + 1, used | b)
-            if total >= limit:
-                return total
-        return total
-
-    return rec(0, 0)
-
-
-def _matchings_of_size(edges: list[tuple[int, int]], s: int):
-    """All matchings of exactly s edges, edge indices ascending."""
-
-    chosen: list[tuple[int, int]] = []
-
-    def rec(start: int, used: set[int]):
-        if len(chosen) == s:
-            yield list(chosen)
-            return
-        remaining = s - len(chosen)
-        for i in range(start, len(edges) - remaining + 1):
-            u, v = edges[i]
-            if u in used or v in used:
-                continue
-            chosen.append((u, v))
-            used |= {u, v}
-            yield from rec(i + 1, used)
-            chosen.pop()
-            used -= {u, v}
-
-    yield from rec(0, set())
+    if i == len(nbr_masks):
+        return 1
+    total = 0
+    m = nbr_masks[i] & ~used
+    while m:
+        b = m & -m
+        m ^= b
+        total += _count_perfect_matchings(nbr_masks, limit, i + 1, used | b)
+        if total >= limit:
+            break
+    return total
 
 
 def validate_uniqueness_witness(g: Graph, w: UniquenessWitness) -> bool:
@@ -355,42 +372,80 @@ def validate_uniqueness_witness(g: Graph, w: UniquenessWitness) -> bool:
     nbr_masks = [
         sum(1 << pos[y] for y in w.v2 if g.has_edge(x, y)) for x in w.v1
     ]
-    return _count_perfect_matchings(list(w.v1), nbr_masks) == 1
+    return _count_perfect_matchings(nbr_masks) == 1
+
+
+def _longest_triangular(
+    nbrs: list[int], full: int, used: int, blocked: int, memo: dict
+) -> int:
+    """Most pairs that extend a triangular sequence, memoised per state.
+
+    used holds the prefix's vertices and blocked the neighbors of its xs
+    outside used; the next pair (x, y) needs x, y unused, xy an edge and
+    y not blocked.  memo maps (used, blocked) to (length, first pair).
+    The scan stops once it meets the cap: the pairs need two free
+    vertices each, and their ys come from the free unblocked vertices.
+    """
+    hit = memo.get((used, blocked))
+    if hit is not None:
+        return hit[0]
+    free = full & ~used
+    open_ys = free & ~blocked
+    cap = min(free.bit_count() // 2, open_ys.bit_count())
+    best, best_pair = 0, None
+    xs = free
+    while xs and best < cap:
+        bx = xs & -xs
+        xs ^= bx
+        x = bx.bit_length() - 1
+        ys = nbrs[x] & open_ys
+        while ys:
+            by = ys & -ys
+            ys ^= by
+            now_used = used | bx | by
+            length = 1 + _longest_triangular(
+                nbrs, full, now_used, (blocked | nbrs[x]) & ~now_used, memo
+            )
+            if length > best:
+                best, best_pair = length, (x, by.bit_length() - 1)
+                if best == cap:
+                    break
+    memo[(used, blocked)] = (best, best_pair)
+    return best
 
 
 def mu_exact(g: Graph, *, force: bool = False) -> ParameterResult:
-    """Largest matching with the uniqueness property, by descending size.
+    """Largest matching with the uniqueness property, by a memoised search.
 
-    For each matching, every assignment of its edges' endpoints to the two
-    sides is tried; a side assignment certifies the matching when the
-    bipartite subgraph of all edges between the sides has no second
-    perfect matching.
+    A matching is the unique perfect matching of the bipartite subgraph
+    between sides v1 and v2 exactly when its edges can be ordered
+    (x_1, y_1), ..., (x_s, y_s) with x_i in v1, y_i in v2 and x_i y_j not
+    an edge for i < j (Golumbic, Hirst and Lewenstein, "Uniquely
+    restricted matchings", Algorithmica 2001).  The search finds the
+    longest such triangular sequence; its xs and ys are the witness sides,
+    which are checked once before returning.
     """
     if g.n > MU_EXACT_CEILING and not force:
         raise ValueError(
-            f"matching enumeration refused for n={g.n} > {MU_EXACT_CEILING}; "
+            f"matching search refused for n={g.n} > {MU_EXACT_CEILING}; "
             "pass force=True to insist"
         )
-    edges = g.sorted_edges()
-    for s in range(len(edges) and g.n // 2, 0, -1):
-        for matching in _matchings_of_size(edges, s):
-            # orient the first edge once; swapping the sides is symmetric
-            for flips in itertools.product((False, True), repeat=s - 1):
-                v1, v2 = [], []
-                for idx, (u, v) in enumerate(matching):
-                    flip = idx > 0 and flips[idx - 1]
-                    v1.append(v if flip else u)
-                    v2.append(u if flip else v)
-                pos = {y: j for j, y in enumerate(v2)}
-                nbr_masks = [
-                    sum(1 << pos[y] for y in v2 if g.has_edge(x, y)) for x in v1
-                ]
-                if _count_perfect_matchings(v1, nbr_masks) == 1:
-                    witness = UniquenessWitness(
-                        tuple(edge for edge in matching), tuple(v1), tuple(v2)
-                    )
-                    return ParameterResult(s, witness, "exact")
-    return ParameterResult(0, UniquenessWitness((), (), ()), "exact")
+    nbrs = adjacency_masks(g)
+    memo: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}
+    value = _longest_triangular(nbrs, (1 << g.n) - 1, 0, 0, memo)
+    matching, v1, v2 = [], [], []
+    used = blocked = 0
+    for _ in range(value):
+        x, y = memo[(used, blocked)][1]
+        matching.append(edge_key(x, y))
+        v1.append(x)
+        v2.append(y)
+        used |= 1 << x | 1 << y
+        blocked = (blocked | nbrs[x]) & ~used
+    witness = UniquenessWitness(tuple(matching), tuple(v1), tuple(v2))
+    if not validate_uniqueness_witness(g, witness):
+        raise RuntimeError(f"mu_exact built an invalid witness {witness}; this is a bug")
+    return ParameterResult(value, witness, "exact")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """End-to-end command line behavior: reports, traces, exit codes."""
 
 import json
-import sys
 import time
 from types import SimpleNamespace
 
@@ -30,22 +29,6 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def count_calls(monkeypatch, fn):
-    """Count calls of fn through every onemove module that bound it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("onemove"):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 class TestSolve:
@@ -154,11 +137,11 @@ class TestSolve:
         ],
         ids=["tree", "unicyclic", "cactus", "dismantle"],
     )
-    def test_witness_replayed_once(self, capsys, tmp_path, monkeypatch, text, method):
+    def test_witness_replayed_once(self, capsys, tmp_path, count_calls, text, method):
         path = write(tmp_path, "g.el", text)
-        replays = count_calls(monkeypatch, engines.cfms_run)
-        searches = count_calls(monkeypatch, families.pendent_dismantle)
-        orderings = count_calls(monkeypatch, families._replay_ordering)
+        replays = count_calls(engines.cfms_run)
+        searches = count_calls(families.pendent_dismantle)
+        orderings = count_calls(families._replay_ordering)
         code, out, _ = run(capsys, "solve", "--input", path)
         assert (code, json.loads(out)["method"]) == (0, method)
         assert len(replays) == 1
@@ -275,9 +258,9 @@ class TestSimulate:
         assert code == 2
         assert "action 0" in err
 
-    def test_cfms_steps_one_run(self, capsys, tmp_path, monkeypatch):
+    def test_cfms_steps_one_run(self, capsys, tmp_path, count_calls):
         path = write(tmp_path, "p3.el", "3 2\n0 1\n1 2\n")
-        replays = count_calls(monkeypatch, engines.cfms_run)
+        replays = count_calls(engines.cfms_run)
         code, out, err = run(
             capsys, "simulate", "--input", path, "--model", "cfms",
             "--strategy", "place 0; place 1; slide 0 1",

@@ -1,13 +1,18 @@
 """Oracle agreement and frozen small-case values."""
 
+import gc
+import itertools
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onemove import exact
-from onemove.deduction import run_deduction
-from onemove.engines import cfms_run
+from onemove.deduction import Layout, run_deduction
+from onemove.engines import cfms_run, complete_with_slides
 from onemove.exact import (
     ParameterResult,
     UniquenessWitness,
@@ -261,3 +266,132 @@ def test_parameter_result_shape():
     assert isinstance(res, ParameterResult)
     assert res.method == "exact"
     assert isinstance(res.witness, list)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the plain exhaustive searches the fast oracles replace.
+# ---------------------------------------------------------------------------
+
+
+def reference_mu(g):
+    """Largest matching with the uniqueness property: every matching by
+    descending size, every side flip, perfect matchings counted by brute
+    force over permutations."""
+    edges = g.sorted_edges()
+    for s in range(len(edges) and g.n // 2, 0, -1):
+        for matching in itertools.combinations(edges, s):
+            if len({v for e in matching for v in e}) < 2 * s:
+                continue
+            for flips in itertools.product((False, True), repeat=s - 1):
+                v1 = [matching[0][0]] + [e[1] if f else e[0] for e, f in zip(matching[1:], flips)]
+                v2 = [matching[0][1]] + [e[0] if f else e[1] for e, f in zip(matching[1:], flips)]
+                perfect = sum(
+                    all(g.has_edge(v1[i], v2[j]) for i, j in enumerate(perm))
+                    for perm in itertools.permutations(range(s))
+                )
+                if perfect == 1:
+                    return s
+    return 0
+
+
+def reference_d(g):
+    """Deduction number with one run_deduction game per layout, totals from 1."""
+    if g.n == 0:
+        return ParameterResult(0, Layout({}), "exact")
+    for total in range(1, g.n + 1):
+        for spots in itertools.combinations_with_replacement(range(g.n), total):
+            counts = {}
+            for v in spots:
+                counts[v] = counts.get(v, 0) + 1
+            layout = Layout(counts)
+            if len(run_deduction(g, layout).protected) == g.n:
+                return ParameterResult(total, layout, "exact")
+    raise AssertionError("placing a searcher on every vertex always succeeds")
+
+
+def reference_cfms(g, pre=frozenset()):
+    """Sliding search number, trying placement sets from size 0 upward."""
+    free = sorted(set(range(g.n)) - pre)
+    for s in range(len(free) + 1):
+        for combo in itertools.combinations(free, s):
+            strategy = complete_with_slides(g, combo, preoccupied=pre)
+            state = cfms_run(g, strategy, preoccupied=pre)
+            if state.success and state.ever_occupied == frozenset(range(g.n)):
+                return ParameterResult(s, strategy, "exact")
+    raise AssertionError("placing searchers everywhere always clears the graph")
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on up to 8 vertices and a preoccupied set."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    pre = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return Graph(n, frozenset(edges)), frozenset(pre)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_mu_matches_enumeration(self, inst):
+        g, _ = inst
+        res = mu_exact(g)
+        assert res.value == reference_mu(g)
+        assert validate_uniqueness_witness(g, res.witness)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_d_matches_game_per_layout(self, inst):
+        g, _ = inst
+        assert d_exact(g) == reference_d(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_cfms_matches_search_from_zero(self, inst):
+        g, pre = inst
+        assert cfms_exact(g) == reference_cfms(g)
+        assert cfms_exact(g, pre) == reference_cfms(g, pre)
+
+
+class TestOracleCost:
+    def test_no_cyclic_garbage(self):
+        g = random_graph(random.Random(3), 10, 0.4)
+        witness = mu_exact(g).witness
+        calls = {
+            "czf_exact": lambda: czf_exact(g),
+            "d_exact": lambda: d_exact(g),
+            "cfms_exact": lambda: cfms_exact(g),
+            "mu_exact": lambda: mu_exact(g),
+            "validate_uniqueness_witness": lambda: validate_uniqueness_witness(g, witness),
+        }
+        for name, call in calls.items():
+            gc.collect()
+            gc.disable()
+            try:
+                call()
+                assert gc.collect() == 0, f"{name} left cyclic garbage"
+            finally:
+                gc.enable()
+
+    def test_d_exact_plays_one_game(self, count_calls):
+        games = count_calls(run_deduction)
+        assert d_exact(worked_graph()).value == 4
+        assert len(games) == 1
+
+    def test_cfms_search_starts_at_half(self, count_calls):
+        completions = count_calls(complete_with_slides)
+        assert cfms_exact(generate(FamilySpec("cycle", 6))).value == 3
+        assert completions
+        assert min(len(args[1]) for args in completions) >= 3
+
+    @pytest.mark.parametrize(
+        "g",
+        [generate(FamilySpec("complete", 16)), random_graph(random.Random(16), 16, 0.5)],
+        ids=["K16", "gnp16-half"],
+    )
+    def test_mu_budget(self, g):
+        start = time.perf_counter()
+        res = mu_exact(g)
+        assert time.perf_counter() - start < 2.0
+        assert validate_uniqueness_witness(g, res.witness)
