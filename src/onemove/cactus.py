@@ -14,7 +14,7 @@ engine before it is returned.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engines import Strategy, certify, complete_with_slides
 from .graphs import (
@@ -41,10 +41,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CactusInstance:
-    """A cactus forest together with the vertices that start occupied."""
+    """A cactus forest together with the vertices that start occupied.
+
+    cycles holds the graph's cycles as classify found them while
+    validating the instance, so that the solver need not classify again.
+    """
 
     graph: Graph
     preoccupied: frozenset[int] = frozenset()
+    cycles: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pre = frozenset(self.preoccupied)
@@ -52,8 +57,10 @@ class CactusInstance:
         for v in pre:
             if not 0 <= v < self.graph.n:
                 raise ValueError(f"preoccupied vertex {v} out of range")
-        if not classify(self.graph).is_cactus:
+        shape = classify(self.graph)
+        if not shape.is_cactus:
             raise ValueError("graph is not a cactus forest")
+        object.__setattr__(self, "cycles", shape.cycles)
 
 
 @dataclass(frozen=True)
@@ -382,7 +389,7 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
     trace: list[str] = []
     # The residual is always an induced subgraph of g, so its cycles are
     # the cycles of g that still have all their vertices.
-    cycles = classify(g).cycles
+    cycles = inst.cycles
     while adj:
         _leaf_rules_fixpoint(adj, pre, places, trace)
         _sweep_isolated(adj, pre, places, trace)

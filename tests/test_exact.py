@@ -4,6 +4,9 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 from onemove import exact
 from onemove.deduction import Layout, run_deduction
-from onemove.engines import cfms_run, complete_with_slides
+from onemove.engines import cfms_run, complete_with_slides, czf_run
 from onemove.exact import (
     ParameterResult,
     UniquenessWitness,
@@ -26,7 +29,7 @@ from onemove.exact import (
     validate_uniqueness_witness,
     vertex_cover_decide,
 )
-from onemove.graphs import FamilySpec, Graph, generate, parse_edge_list
+from onemove.graphs import FamilySpec, Graph, adjacency_masks, generate, parse_edge_list
 
 WORKED = """7 11
 0 1
@@ -218,6 +221,26 @@ class TestVectorPath:
         for g, expected in results:
             assert czf_exact(g).value == expected
 
+    def test_masks_in_combinations_order(self):
+        for n in range(15):
+            for k in range(n + 1):
+                expected = [sum(1 << v for v in c) for c in itertools.combinations(range(n), k)]
+                assert exact._combo_masks(n, k).tolist() == expected, (n, k)
+                assert exact._combo_masks_small(n, k) == tuple(expected), (n, k)
+
+    def test_sweep_returns_least_hit(self, monkeypatch):
+        # The path 1-0-3-2 with two start vertices: {0, 1} fails, {0, 2}
+        # is full only after a second round, while the later {0, 3}, {1, 2}
+        # and {1, 3} are full after one.  The sweep must still return {0, 2}.
+        g = Graph(4, frozenset({(0, 1), (0, 3), (2, 3)}))
+        nbrs = adjacency_masks(g)
+        masks = exact._combo_masks(4, 2)
+        assert int(np.flatnonzero(reference_closure_sweep(nbrs, 4, masks) == 0b1111)[0]) == 1
+        for chunk in (1, 2, 3, 1 << 15):
+            monkeypatch.setattr(exact, "_SWEEP_CHUNK", chunk)
+            assert exact._first_full(nbrs, 4, masks) == 1
+        assert exact._first_full(nbrs, 4, exact._combo_masks(4, 1)) is None
+
 
 class TestValueTable:
     def test_small_entries(self):
@@ -321,6 +344,54 @@ def reference_cfms(g, pre=frozenset()):
     raise AssertionError("placing searchers everywhere always clears the graph")
 
 
+def reference_combo_masks(n, k):
+    """Every k-subset mask, one Python sum per combination."""
+    gen = (sum(1 << v for v in combo) for combo in itertools.combinations(range(n), k))
+    return np.fromiter(gen, dtype=np.uint32, count=comb(n, k))
+
+
+def reference_closure_sweep(nbrs, n, masks):
+    """Forcing closure of every initial mask, swept until all settle."""
+    full = np.uint32((1 << n) - 1)
+    colored = masks.copy()
+    fired = np.zeros_like(masks)
+    one = np.uint32(1)
+    while True:
+        changed = False
+        for v in range(n):
+            bit = np.uint32(1 << v)
+            nb = np.uint32(nbrs[v])
+            unc = nb & ~colored
+            can = ((masks & bit) != 0) & ((fired & bit) == 0)
+            single = (unc != 0) & ((unc & (unc - one)) == 0)
+            do = can & single
+            if do.any():
+                colored[do] |= unc[do]
+                fired[do] |= bit
+                changed = True
+        if not changed or bool((colored == full).all()):
+            return colored
+
+
+def reference_min_forcing_set(nbrs, n, lower):
+    """(size, mask) of the first full closure over every mask of each size."""
+    for k in range(max(lower, 1), n + 1):
+        masks = reference_combo_masks(n, k)
+        hits = np.flatnonzero(reference_closure_sweep(nbrs, n, masks) == (1 << n) - 1)
+        if hits.size:
+            return k, int(masks[hits[0]])
+    raise AssertionError("the full vertex set always forces itself")
+
+
+@st.composite
+def forcing_graphs(draw):
+    """A graph on up to 16 vertices, sparse or dense."""
+    n = draw(st.integers(1, 16))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_graph(random.Random(seed), n, p)
+
+
 @st.composite
 def small_graphs(draw):
     """A graph on up to 8 vertices and a preoccupied set."""
@@ -352,6 +423,42 @@ class TestAgainstReferences:
         g, pre = inst
         assert cfms_exact(g) == reference_cfms(g)
         assert cfms_exact(g, pre) == reference_cfms(g, pre)
+
+
+class TestForcingSearch:
+    @pytest.mark.parametrize(
+        "cutoff, chunk",
+        [(exact._VECTOR_CUTOFF, exact._SWEEP_CHUNK), (1, exact._SWEEP_CHUNK), (1, 64)],
+        ids=["default", "all-numpy", "all-numpy-small-chunks"],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(g=forcing_graphs())
+    def test_matches_reference_sweep(self, cutoff, chunk, g):
+        nbrs = adjacency_masks(g)
+        lower = (g.n + 1) // 2
+        with mock.patch.object(exact, "_VECTOR_CUTOFF", cutoff), mock.patch.object(
+            exact, "_SWEEP_CHUNK", chunk
+        ):
+            assert exact._min_forcing_set(nbrs, g.n, lower) == reference_min_forcing_set(
+                nbrs, g.n, lower
+            )
+
+    def test_ceiling_budget(self):
+        # G(24, 0.3) has value 12 = ceil(24/2): one size class of C(24, 12)
+        # start sets, the largest the ceiling admits.
+        g = random_graph(random.Random(3), 24, 0.3)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            res = czf_exact(g)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value == 12
+        assert czf_run(g, res.witness).succeeded(g)
+        assert elapsed < 2.0
+        assert peak < 48 * 2**20
 
 
 class TestOracleCost:
