@@ -23,7 +23,6 @@ from .graphs import (
     classify,
     connected_components,
     edge_key,
-    induced_subgraph,
     parse_edge_list,
     write_edge_list,
 )
@@ -32,6 +31,7 @@ __all__ = [
     "CactusInstance",
     "CactusPlan",
     "parse_cactus_instance",
+    "split_preoccupied",
     "write_cactus_instance",
     "preoccupied_path_solve",
     "preoccupied_cycle_solve",
@@ -73,12 +73,19 @@ class CactusPlan:
     trace: tuple[str, ...]
 
 
-def parse_cactus_instance(text: str) -> CactusInstance:
-    """Parse an edge list followed by an optional line "preoccupied v1 v2 ..."."""
+def split_preoccupied(text: str) -> tuple[str, frozenset[int] | None]:
+    """The edge-list part of text, and the vertices of its one optional
+    line "preoccupied v1 v2 ..." (None when there is no such line).
+
+    Only lines that contain the word are split into tokens, so text
+    without it is returned as it is, unscanned.
+    """
+    if "preoccupied" not in text:
+        return text, None
     kept: list[str] = []
     pre: frozenset[int] | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split()
+        parts = raw.split() if "preoccupied" in raw else ()
         if parts and parts[0] == "preoccupied":
             if pre is not None:
                 raise ValueError(f"line {lineno}: second preoccupied line")
@@ -88,7 +95,13 @@ def parse_cactus_instance(text: str) -> CactusInstance:
                 raise ValueError(f"line {lineno}: expected integers after 'preoccupied'") from None
         else:
             kept.append(raw)
-    return CactusInstance(parse_edge_list("\n".join(kept)), pre or frozenset())
+    return "\n".join(kept), pre
+
+
+def parse_cactus_instance(text: str) -> CactusInstance:
+    """Parse an edge list followed by an optional line "preoccupied v1 v2 ..."."""
+    body, pre = split_preoccupied(text)
+    return CactusInstance(parse_edge_list(body), pre or frozenset())
 
 
 def write_cactus_instance(inst: CactusInstance) -> str:
@@ -105,18 +118,22 @@ def write_cactus_instance(inst: CactusInstance) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _delete(adj: dict[int, set[int]], pre: set[int], gone: tuple[int, ...]) -> None:
+def _delete(adj: dict[int, set[int]], pre: set[int], gone) -> set[int]:
+    """Delete the vertices in gone; returns their surviving neighbors,
+    the only vertices whose degree fell."""
+    gone = set(gone)
+    touched: set[int] = set()
     for w in gone:
-        for x in adj[w]:
+        for x in adj.pop(w):
             if x not in gone:
                 adj[x].discard(w)
-    for w in gone:
-        del adj[w]
+                touched.add(x)
         pre.discard(w)
+    return touched
 
 
 def _leaf_rules_fixpoint(
-    adj: dict[int, set[int]], pre: set[int], places: list[int], trace: list[str]
+    adj: dict[int, set[int]], pre: set[int], places: list[int], trace: list[str], dirty: set[int]
 ) -> None:
     """Resolve degree-1 vertices until none remain.
 
@@ -124,9 +141,11 @@ def _leaf_rules_fixpoint(
     Rule 2: both occupied: the leaf alone goes, the neighbor keeps its
     searcher.  Rule 3: occupied leaf: its searcher slides in, both go.
     Rule 4: occupied neighbor: its searcher slides out, both go.  Lowest
-    rule number first, lowest leaf within a rule.  A heap holds every
-    vertex whose degree has dropped to 1; entries that are no longer
-    leaves are skipped.
+    rule number first, lowest leaf within a rule.  dirty holds every
+    vertex whose degree may have fallen since the residual last had no
+    leaf; it gains each vertex whose degree falls here.  A heap holds
+    every vertex whose degree has dropped to 1; entries that are no
+    longer leaves are skipped.
     """
     heap: list[tuple[int, int, int]] = []
 
@@ -137,8 +156,8 @@ def _leaf_rules_fixpoint(
         else:
             heapq.heappush(heap, (4 if u in pre else 1, v, u))
 
-    for v, ws in adj.items():
-        if len(ws) == 1:
+    for v in dirty:
+        if len(adj.get(v, ())) == 1:
             push(v)
     while heap:
         rule, v, u = heapq.heappop(heap)
@@ -147,18 +166,18 @@ def _leaf_rules_fixpoint(
         trace.append(f"step{rule} v={v} u={u}")
         if rule == 1:
             places.append(v)
-        gone = (v,) if rule == 2 else (v, u)
-        touched = {x for w in gone for x in adj[w]}
-        _delete(adj, pre, gone)
+        touched = _delete(adj, pre, (v,) if rule == 2 else (v, u))
+        dirty |= touched
         for x in touched:
-            if len(adj.get(x, ())) == 1:
+            if len(adj[x]) == 1:
                 push(x)
 
 
 def _sweep_isolated(
-    adj: dict[int, set[int]], pre: set[int], places: list[int], trace: list[str]
+    adj: dict[int, set[int]], pre: set[int], places: list[int], trace: list[str], dirty: set[int]
 ) -> None:
-    for v in sorted(k for k, ws in adj.items() if not ws):
+    """Resolve the isolated vertices, which are all in dirty."""
+    for v in sorted(x for x in dirty if x in adj and not adj[x]):
         if v in pre:
             trace.append(f"isolated v={v} preoccupied")
         else:
@@ -173,8 +192,9 @@ def _path_places(g: Graph, pre: frozenset[int]) -> tuple[int, list[int], list[st
     live_pre = set(pre)
     places: list[int] = []
     trace: list[str] = []
-    _leaf_rules_fixpoint(adj, live_pre, places, trace)
-    _sweep_isolated(adj, live_pre, places, trace)
+    dirty = set(adj)
+    _leaf_rules_fixpoint(adj, live_pre, places, trace, dirty)
+    _sweep_isolated(adj, live_pre, places, trace, dirty)
     if adj:
         raise RuntimeError("leaf rules did not dissolve the path; this is a bug")
     return len(places), places, trace
@@ -186,9 +206,7 @@ def preoccupied_path_solve(p: Graph, preoccupied=frozenset()) -> tuple[int, Stra
     for v in pre:
         if not 0 <= v < p.n:
             raise ValueError(f"preoccupied vertex {v} out of range")
-    if p.m != p.n - len(connected_components(p)) or any(
-        p.degree(v) > 2 for v in range(p.n)
-    ):
+    if p.m != p.n - len(connected_components(p)) or any(len(row) > 2 for row in p.adjacency()):
         raise ValueError("input graph is not a disjoint union of paths")
     value, places, _ = _path_places(p, pre)
     strategy = complete_with_slides(p, places, preoccupied=pre)
@@ -362,14 +380,43 @@ def preoccupied_cycle_solve(c: Graph, preoccupied=frozenset()) -> tuple[int, Str
     for v in pre:
         if not 0 <= v < c.n:
             raise ValueError(f"preoccupied vertex {v} out of range")
-    if c.n < 3 or c.m != c.n or any(c.degree(v) != 2 for v in range(c.n)) or len(
-        connected_components(c)
-    ) != 1:
+    shape = classify(c)
+    if c.n < 3 or c.m != c.n or not shape.is_connected or any(
+        len(row) != 2 for row in c.adjacency()
+    ):
         raise ValueError("input graph is not a cycle")
-    value, places, _ = _cycle_places(c, pre, classify(c).cycles[0])
+    value, places, _ = _cycle_places(c, pre, shape.cycles[0])
     strategy = complete_with_slides(c, places, preoccupied=pre)
     certify(c, strategy, pre)
     return value, strategy
+
+
+def _cycle_piece(
+    rotation: tuple[int, ...], pre: set[int], skip: int | None = None
+) -> tuple[Graph, frozenset[int], tuple[int, ...], list[int]]:
+    """One cycle of a cactus, or the path left when skip is taken out, as
+    a graph of its own, in O(|C| log |C|).
+
+    Vertices are relabeled densely in label order.  A cactus has no
+    chords, so the edges are the cycle's edges between kept vertices and
+    the graph is the one induced_subgraph would build (less any role
+    annotations, which the solvers do not read).  Returns the graph, its
+    preoccupied vertices, its rotation (skip left out) and the old label
+    of each new one.
+    """
+    old = sorted(w for w in rotation if w != skip)
+    new = {w: i for i, w in enumerate(old)}
+    edges = [
+        (new[a], new[b])
+        for a, b in zip(rotation[-1:] + rotation[:-1], rotation)
+        if a != skip and b != skip
+    ]
+    return (
+        Graph(len(old), edges),
+        frozenset(new[w] for w in old if w in pre),
+        tuple(new[w] for w in rotation if w != skip),
+        old,
+    )
 
 
 def cactus_solve(inst: CactusInstance) -> CactusPlan:
@@ -381,65 +428,82 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
     most one, and which side of the dichotomy holds decides whether P is
     cleared now (keeping v for the rest of the graph) or all of C goes.
     Cases 5.1/5.2 apply when v starts occupied, 5.3/5.4 when it does not.
+    Each round costs time in what it deletes: only vertices whose degree
+    fell are looked at again.
     """
     g = inst.graph
-    adj = {v: set(ws) for v, ws in enumerate(g.adjacency())}
+    rows = g.adjacency()
+    adj = {v: set(ws) for v, ws in enumerate(rows)}
     pre = set(inst.preoccupied)
     places: list[int] = []
     trace: list[str] = []
     # The residual is always an induced subgraph of g, so its cycles are
-    # the cycles of g that still have all their vertices.
+    # the cycles of g that still have all their vertices, and once no
+    # leaf is left every live vertex has degree 2 or more.  Degrees only
+    # fall, so a cycle's count of degree-3+ vertices (the vertices in
+    # big) only falls: a live cycle whose count is 0 is isolated, one
+    # whose count is 1 is a leaf cycle at its one big vertex.
     cycles = inst.cycles
+    through: dict[int, list[int]] = {}
+    for i, cyc in enumerate(cycles):
+        for w in cyc:
+            through.setdefault(w, []).append(i)
+    big = {w for w in through if len(rows[w]) >= 3}
+    count = [sum(w in big for w in cyc) for cyc in cycles]
+    isolated: list[tuple[int, ...]] = []
+    leaves: list[tuple[int, tuple[int, ...], int]] = []
+
+    def enqueue(i: int) -> None:
+        if count[i] == 0:
+            isolated.append(cycles[i])
+        elif count[i] == 1:
+            cyc = cycles[i]
+            heapq.heappush(leaves, (next(w for w in cyc if w in big), cyc, i))
+
+    def alive(cyc: tuple[int, ...]) -> bool:
+        return all(w in adj for w in cyc)
+
+    for i in range(len(cycles)):
+        enqueue(i)
+    dirty = set(adj)  # vertices whose degree may have fallen
     while adj:
-        _leaf_rules_fixpoint(adj, pre, places, trace)
-        _sweep_isolated(adj, pre, places, trace)
+        _leaf_rules_fixpoint(adj, pre, places, trace, dirty)
+        _sweep_isolated(adj, pre, places, trace, dirty)
         if not adj:
             break
-        cycles = [cyc for cyc in cycles if all(w in adj for w in cyc)]
+        for x in dirty:
+            if x in big and len(adj.get(x, ())) < 3:
+                big.discard(x)
+                for i in through[x]:
+                    count[i] -= 1
+                    enqueue(i)
+        dirty.clear()
 
-        isolated_cycles = sorted(
-            cyc for cyc in cycles if all(len(adj[w]) == 2 for w in cyc)
-        )
-        if isolated_cycles:
-            for cyc in isolated_cycles:
-                sub, srel = induced_subgraph(g, sorted(cyc))
-                sinv = {new: old for old, new in srel.items()}
-                val, pl, label = _cycle_places(
-                    sub,
-                    frozenset(srel[w] for w in cyc if w in pre),
-                    tuple(srel[w] for w in cyc),
-                )
-                places.extend(sinv[x] for x in pl)
+        ready = sorted(cyc for cyc in isolated if alive(cyc))
+        isolated.clear()
+        if ready:
+            for cyc in ready:
+                sub, sub_pre, ring, old = _cycle_piece(cyc, pre)
+                val, pl, label = _cycle_places(sub, sub_pre, ring)
+                places.extend(old[x] for x in pl)
                 listing = ",".join(str(w) for w in cyc)
                 trace.append(f"isolated-cycle ({listing}) case={label} adds={val}")
                 _delete(adj, pre, cyc)
             continue
 
-        leaf_cycles = []
-        for cyc in cycles:
-            branching = [w for w in cyc if len(adj[w]) >= 3]
-            if len(branching) == 1:
-                leaf_cycles.append((branching[0], cyc))
-        if not leaf_cycles:
+        while leaves and (count[leaves[0][2]] != 1 or not alive(leaves[0][1])):
+            heapq.heappop(leaves)
+        if not leaves:
             raise RuntimeError(
                 "cactus residual has no isolated or leaf cycle; this is a bug"
             )
-        v, cyc = min(leaf_cycles)
+        v, cyc, _ = heapq.heappop(leaves)
         listing = ",".join(str(w) for w in cyc)
 
-        path_vertices = tuple(w for w in cyc if w != v)
-        sub_p, rel_p = induced_subgraph(g, sorted(path_vertices))
-        inv_p = {new: old for old, new in rel_p.items()}
-        cf_p, pl_p, _ = _path_places(
-            sub_p, frozenset(rel_p[w] for w in path_vertices if w in pre)
-        )
-        sub_c, rel_c = induced_subgraph(g, sorted(cyc))
-        inv_c = {new: old for old, new in rel_c.items()}
-        cf_c, pl_c, label = _cycle_places(
-            sub_c,
-            frozenset(rel_c[w] for w in cyc if w in pre),
-            tuple(rel_c[w] for w in cyc),
-        )
+        sub_p, pre_p, _, old_p = _cycle_piece(cyc, pre, skip=v)
+        cf_p, pl_p, _ = _path_places(sub_p, pre_p)
+        sub_c, pre_c, ring_c, old_c = _cycle_piece(cyc, pre)
+        cf_c, pl_c, label = _cycle_places(sub_c, pre_c, ring_c)
 
         if v in pre:
             if not cf_c <= cf_p <= cf_c + 1:
@@ -457,18 +521,18 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
             case, clear_path = ("5.3", True) if cf_c == cf_p + 1 else ("5.4", False)
 
         if clear_path:
-            places.extend(inv_p[x] for x in pl_p)
+            places.extend(old_p[x] for x in pl_p)
             trace.append(
                 f"step{case} cycle=({listing}) extender={v} path={cf_p} cycle={cf_c}"
             )
-            _delete(adj, pre, path_vertices)
+            dirty |= _delete(adj, pre, (w for w in cyc if w != v))
         else:
-            places.extend(inv_c[x] for x in pl_c)
+            places.extend(old_c[x] for x in pl_c)
             trace.append(
                 f"step{case} cycle=({listing}) extender={v}"
                 f" path={cf_p} cycle={cf_c} case={label}"
             )
-            _delete(adj, pre, cyc)
+            dirty |= _delete(adj, pre, cyc)
 
     strategy = complete_with_slides(g, places, preoccupied=inst.preoccupied)
     certify(g, strategy, inst.preoccupied)

@@ -10,13 +10,14 @@ reduction instances, and edge-edit measurements.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .cactus import parse_cactus_instance
+from .cactus import split_preoccupied
 from .constructions import (
     contraction_probe,
     perturb_delta,
@@ -69,12 +70,10 @@ def _read_text(path: str) -> str:
 
 
 def _read_instance(path: str) -> tuple[Graph, frozenset[int]]:
-    """An edge list, and the preoccupied vertices when that line appears."""
-    text = _read_text(path)
-    if any(line.split()[:1] == ["preoccupied"] for line in text.splitlines()):
-        inst = parse_cactus_instance(text)
-        return inst.graph, inst.preoccupied
-    return parse_edge_list(text), frozenset()
+    """An edge list, and the preoccupied vertices when that line appears;
+    solve validates them as a cactus instance."""
+    body, pre = split_preoccupied(_read_text(path))
+    return parse_edge_list(body), pre or frozenset()
 
 
 def _parse_layout_csv(text: str) -> Layout:
@@ -308,7 +307,10 @@ def _cmd_probe(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = _Parser(prog="onemove", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -45,6 +45,11 @@ def czf_run(g: Graph, initial) -> CzfState:
     vertex forces it; only the initial vertices may force, and each forces
     at most once.  Scanning is by ascending vertex index to a fixpoint,
     which by order invariance does not affect the final colored set.
+
+    Each initial vertex keeps its count of uncolored neighbors, so a scan
+    visits only the vertices whose count has fallen to 1: a vertex that
+    reaches 1 after its place in the current scan waits for the next one.
+    A vertex that has forced has a count of 0 and never forces again.
     """
     start = sorted(set(initial))
     for v in start:
@@ -52,20 +57,26 @@ def czf_run(g: Graph, initial) -> CzfState:
             raise ValueError(f"initial vertex {v} out of range for n={g.n}")
     adj = g.adjacency()
     colored = set(start)
-    spent: set[int] = set()
+    need = {v: sum(1 for w in adj[v] if w not in colored) for v in start}
     forces: list[tuple[int, int]] = []
-    progress = True
-    while progress:
-        progress = False
-        for v in start:
-            if v in spent:
-                continue
-            uncolored = [w for w in adj[v] if w not in colored]
-            if len(uncolored) == 1:
-                colored.add(uncolored[0])
-                spent.add(v)
-                forces.append((v, uncolored[0]))
-                progress = True
+    scan = [v for v in start if need[v] == 1]  # sorted, so already a heap
+    later: list[int] = []
+    while scan:
+        v = heapq.heappop(scan)
+        if need[v] == 1:
+            w = next(x for x in adj[v] if x not in colored)
+            colored.add(w)
+            forces.append((v, w))
+            for x in adj[w]:
+                if x in need:
+                    need[x] -= 1
+                    if need[x] == 1 and x > v:
+                        heapq.heappush(scan, x)
+                    elif need[x] == 1:
+                        later.append(x)
+        if not scan:
+            scan, later = later, []
+            heapq.heapify(scan)
     return CzfState(frozenset(start), frozenset(colored), tuple(forces))
 
 
@@ -218,17 +229,19 @@ class _Clearing:
         No vertex is occupied twice, since a searcher leaves only along the
         last contaminated edge at its vertex, so those edges are all fresh.
         """
-        self.occupied.add(v)
+        occupied, contaminated = self.occupied, self.contaminated
+        occupied.add(v)
         self.ever.add(v)
-        fresh = [edge_key(v, w) for w in self.adj[v] if w in self.occupied]
+        fresh = [(v, w) if v < w else (w, v) for w in self.adj[v] if w in occupied]
+        self.cleared.update(fresh)
         for a, b in fresh:
-            self.cleared.add((a, b))
-            self.contaminated[a] -= 1
-            self.contaminated[b] -= 1
+            contaminated[a] -= 1
+            contaminated[b] -= 1
         return fresh
 
     def contaminated_at(self, v: int) -> list[int]:
-        return [w for w in self.adj[v] if edge_key(v, w) not in self.cleared]
+        cleared = self.cleared
+        return [w for w in self.adj[v] if ((v, w) if v < w else (w, v)) not in cleared]
 
     def place(self, v: int, i: int) -> list[Edge]:
         """Action i puts a searcher on v; returns the edges it cleared."""
@@ -302,17 +315,22 @@ def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
         run.place(v, i)
     actions: list[tuple] = [("place", v) for v in place_list]
     # Counts only fall, so a searcher becomes ready to slide only when an
-    # edge at it clears.  The heap gets both ends of every cleared edge and
-    # skips what is not ready, so the lowest ready searcher comes out first.
-    heap = sorted(run.occupied)
+    # edge at it clears.  The heap gets each end of a cleared edge that is
+    # ready then, and skips what has stopped being ready since, so the
+    # lowest ready searcher comes out first.
+    def ready(w: int) -> bool:
+        return run.contaminated[w] == 1 and w in run.occupied and w not in run.moved
+
+    heap = [u for u in sorted(run.occupied) if ready(u)]
     while heap:
         u = heapq.heappop(heap)
-        if run.contaminated[u] != 1 or u not in run.occupied or u in run.moved:
+        if not ready(u):
             continue
         (v,) = run.contaminated_at(u)
         for e in run.slide(u, v, len(actions)):
             for w in e:
-                heapq.heappush(heap, w)
+                if ready(w):
+                    heapq.heappush(heap, w)
         actions.append(("slide", u, v))
     return Strategy(tuple(actions))
 

@@ -35,15 +35,19 @@ class Graph:
     edges: frozenset[Edge]
     roles: dict[int, str] | None = field(default=None, hash=False)
     edge_roles: dict[Edge, str] | None = field(default=None, hash=False)
+    # Derived data (adjacency rows, classification), built on first use.
+    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = frozenset(edge_key(u, v) for u, v in self.edges)
-        object.__setattr__(self, "edges", norm)
+        norm = frozenset((u, v) if u < v else (v, u) for u, v in self.edges)
         for u, v in norm:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u and v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        object.__setattr__(self, "edges", norm)
         if self.roles is not None:
             if set(self.roles) != set(range(self.n)):
                 raise ValueError("vertex roles must cover all vertices")
@@ -67,23 +71,30 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
 
-    def adjacency(self) -> list[list[int]]:
-        """Sorted neighbor lists, built fresh on each call."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
-            row.sort()
-        return adj
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor rows, built on the first call and kept.
+
+        Rows are tuples, so every caller shares one copy that none can
+        change.
+        """
+        rows = self._memo.get("adjacency")
+        if rows is None:
+            adj: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            rows = self._memo["adjacency"] = tuple(tuple(sorted(row)) for row in adj)
+        return rows
 
     def neighbors(self, v: int) -> list[int]:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        return sorted(w for e in self.edges if v in e for w in e if w != v)
+        return list(self.adjacency()[v])
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return len(self.adjacency()[v])
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -112,9 +123,9 @@ def parse_edge_list(text: str) -> Graph:
     Errors cite 1-based line numbers of the input text.
     """
     numbered = [
-        (i, line.strip())
-        for i, line in enumerate(text.splitlines(), 1)
-        if line.strip() and not line.strip().startswith("#")
+        (i, line)
+        for i, raw in enumerate(text.splitlines(), 1)
+        if (line := raw.strip()) and not line.startswith("#")
     ]
     if not numbered:
         raise ValueError("empty input: expected a header line 'n m'")
@@ -148,7 +159,7 @@ def parse_edge_list(text: str) -> Graph:
             raise fail(lineno, f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise fail(lineno, f"edge ({u}, {v}) out of range for n={n}")
-        e = edge_key(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in edges:
             raise fail(lineno, f"duplicate edge ({u}, {v})")
         edges.add(e)
@@ -416,66 +427,8 @@ class GraphClass:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    adj = g.adjacency()
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        frontier = [s]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    frontier.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _biconnected_blocks(g: Graph) -> list[list[Edge]]:
-    """Edge sets of the biconnected blocks, via iterative lowpoint DFS."""
-    adj = g.adjacency()
-    disc = [-1] * g.n
-    low = [0] * g.n
-    timer = 0
-    blocks: list[list[Edge]] = []
-    edge_stack: list[Edge] = []
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int, object]] = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            w = next(it, None)  # type: ignore[call-overload]
-            if w is None:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        block: list[Edge] = []
-                        while edge_stack[-1] != edge_key(u, v):
-                            block.append(edge_stack.pop())
-                        block.append(edge_stack.pop())
-                        blocks.append(block)
-                continue
-            if w == parent:
-                continue
-            if disc[w] == -1:
-                edge_stack.append(edge_key(v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(adj[w])))
-            elif disc[w] < disc[v]:
-                edge_stack.append(edge_key(v, w))
-                low[v] = min(low[v], disc[w])
-    return blocks
+    """Vertex sets of the components, each sorted, by least vertex."""
+    return [list(comp) for comp in classify(g).components]
 
 
 def cycle_order(block: list[Edge]) -> tuple[int, ...]:
@@ -537,32 +490,76 @@ def alternating_places(ring: tuple[int, ...] | list[int]) -> list[int]:
 
 
 def classify(g: Graph) -> GraphClass:
-    """Classify a graph for solver dispatch.
+    """Classify a graph for solver dispatch, once per Graph object.
 
     cycles lists each simple cycle (in cyclic vertex order) whenever the
     graph is a cactus forest, i.e. no edge lies on two cycles.
     """
-    comps = connected_components(g)
-    connected = len(comps) == 1 and g.n > 0
-    blocks = _biconnected_blocks(g)
-    is_cactus = True
-    cycles: list[tuple[int, ...]] = []
-    for block in blocks:
-        verts = {w for e in block for w in e}
-        if len(block) == 1:
+    shape = g._memo.get("class")
+    if shape is None:
+        shape = g._memo["class"] = _classify(g)
+    return shape
+
+
+def _classify(g: Graph) -> GraphClass:
+    """One breadth-first walk, from each unvisited root in ascending
+    order, spans one component per root; then every non-tree edge closes
+    one fundamental cycle with the tree path between its ends.
+
+    The graph is a cactus forest iff no tree edge lies on two of those
+    cycles.  In a cactus forest they are distinct cycles, so they share
+    no edge.  Conversely, every cycle is the sum (mod 2) of the
+    fundamental cycles of its non-tree edges; when those share no edge
+    the sum is their union, and a simple cycle is never the union of two
+    or more edge-disjoint cycles, so the fundamental cycles are all the
+    cycles there are and no edge lies on two.  The walks up the tree
+    therefore cost O(n) in all, and the first shared tree edge ends them.
+    """
+    adj = g.adjacency()
+    parent = [-2] * g.n  # -2: not reached yet; -1: a root
+    depth = [0] * g.n
+    comps: list[tuple[int, ...]] = []
+    for root in range(g.n):
+        if parent[root] != -2:
             continue
-        if len(block) == len(verts):
-            cycles.append(cycle_order(block))
-        else:
-            is_cactus = False
+        parent[root] = -1
+        comp = [root]
+        for v in comp:  # comp grows while it is walked
+            for w in adj[v]:
+                if parent[w] == -2:
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    comp.append(w)
+        comps.append(tuple(sorted(comp)))
+    on_cycle = [False] * g.n  # whether the tree edge up from v lies on a cycle
+    cycles: list[tuple[int, ...]] = []
+    is_cactus = True
+    for u, w in g.edges:
+        if parent[w] == u or parent[u] == w:
+            continue
+        up, down = [u], [w]  # the tree paths from u and from w to their meeting vertex
+        while is_cactus and up[-1] != down[-1]:
+            side = up if depth[up[-1]] >= depth[down[-1]] else down
+            is_cactus = not on_cycle[side[-1]]
+            on_cycle[side[-1]] = True
+            side.append(parent[side[-1]])
+        if not is_cactus:
+            break
+        ring = up + down[-2::-1]
+        least = ring.index(min(ring))
+        ring = ring[least:] + ring[:least]
+        if ring[-1] < ring[1]:  # walk on towards the smaller neighbor
+            ring = ring[:1] + ring[:0:-1]
+        cycles.append(tuple(ring))
     cycles.sort()
+    connected = len(comps) == 1
     return GraphClass(
         is_connected=connected,
         is_tree=connected and g.m == g.n - 1,
         is_unicyclic=connected and g.m == g.n,
         is_cactus=is_cactus,
-        is_cubic=g.n > 0 and all(g.degree(v) == 3 for v in range(g.n)),
-        components=tuple(tuple(c) for c in comps),
+        is_cubic=g.n > 0 and all(len(row) == 3 for row in adj),
+        components=tuple(comps),
         cycles=tuple(cycles) if is_cactus else (),
     )
 

@@ -370,10 +370,24 @@ def test_09_family_solvers_match_the_oracle():
     assert time.perf_counter() - start < 600.0
 
 
+def _connected_masks(masks, pairs, n):
+    """The edge masks whose graphs are connected: vertex 0's reach grows
+    across every edge of each mask, n - 1 times over, in one numpy pass
+    per edge."""
+    reach = np.ones_like(masks)
+    for _ in range(n - 1):
+        for b, (i, j) in enumerate(pairs):
+            has = (masks >> b) & 1
+            reach |= ((has & (reach >> j)) & 1) << i | ((has & (reach >> i)) & 1) << j
+    return masks[reach == (1 << n) - 1]
+
+
 def _connected_representatives(n, max_edges):
     """One labeled representative per isomorphism class of the connected
     graphs on n vertices with at most max_edges edges, found by taking the
-    minimum edge mask over all vertex relabelings."""
+    minimum edge mask over all vertex relabelings.  Disconnected masks are
+    dropped first: relabeling keeps a graph connected, so every class
+    keeps its minimum."""
     pairs = list(itertools.combinations(range(n), 2))
     bit = {p: i for i, p in enumerate(pairs)}
     count = len(pairs)
@@ -386,6 +400,7 @@ def _connected_representatives(n, max_edges):
             for combo in itertools.combinations(range(count), m):
                 chosen.append(sum(1 << b for b in combo))
         masks = np.array(sorted(chosen), dtype=np.int32)
+    masks = _connected_masks(masks, pairs, n)
     canon = masks.copy()
     remap = np.zeros_like(masks)
     for perm in itertools.permutations(range(n)):

@@ -162,6 +162,33 @@ class TestSolve:
         assert time.perf_counter() - start < 0.5
 
 
+class TestRepeatedCalls:
+    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+        # a process that runs several commands (solve, verify, a bad flag)
+        # gets the same answers as fresh processes would
+        bowtie = write(tmp_path, "bowtie.el", BOWTIE)
+        pre = write(tmp_path, "pre.el", BOWTIE + "preoccupied 3\n")
+        assert cli._build_parser() is cli._build_parser()
+
+        def answer(*argv):
+            code, out, err = run(capsys, *argv)
+            report = json.loads(out)
+            del report["ms"]
+            return code, report, err
+
+        first = answer("solve", "--input", bowtie)
+        assert first[0] == 0 and first[1]["method"] == "cactus"
+        code, report, err = answer("verify", "--input", pre, "--trace")
+        assert code == 0 and report["agree"] and "cactus rule" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--input", bowtie, "--bogus"])
+        assert exc.value.code == cli.USAGE_EXIT
+        assert "--bogus" in capsys.readouterr().err
+        assert answer("solve", "--input", bowtie, "--method", "exact")[1]["method"] == "exact"
+        assert answer("verify", "--input", pre)[2] == ""
+        assert answer("solve", "--input", bowtie) == first
+
+
 class TestVerify:
     def test_tree_against_oracle(self, capsys, tmp_path):
         path = write(tmp_path, "star.el", "5 4\n0 1\n0 2\n0 3\n0 4\n")

@@ -423,6 +423,57 @@ class TestAgainstRescan:
         assert outcome(cfms_run, g, strategy, pre) == outcome(rescan_run, g, actions, pre)
 
 
+def rescan_czf(g: Graph, initial):
+    """Reference forcing play: every unspent initial vertex is rescanned in
+    ascending order until a whole pass forces nothing."""
+    start = sorted(set(initial))
+    adj = g.adjacency()
+    colored, spent, forces = set(start), set(), []
+    progress = True
+    while progress:
+        progress = False
+        for v in start:
+            uncolored = [w for w in adj[v] if w not in colored]
+            if v not in spent and len(uncolored) == 1:
+                colored.add(uncolored[0])
+                spent.add(v)
+                forces.append((v, uncolored[0]))
+                progress = True
+    return frozenset(colored), tuple(forces)
+
+
+@st.composite
+def forcing_inputs(draw):
+    """A graph on up to 14 vertices, sparse or dense, and an initial set."""
+    n = draw(st.integers(1, 14))
+    p = draw(st.sampled_from((0.15, 0.3, 0.5, 0.8)))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    initial = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return Graph(n, frozenset(edges)), initial
+
+
+class TestCzfAgainstRescan:
+    @settings(max_examples=300, deadline=None)
+    @given(forcing_inputs())
+    def test_same_colored_set_and_forces(self, inst):
+        g, initial = inst
+        state = czf_run(g, initial)
+        assert (state.colored, state.forces) == rescan_czf(g, initial)
+
+    def test_long_chain_within_budget(self):
+        # the odd vertices of a path force downwards from its top end, one
+        # force per pass of the ascending scan: rescanning every initial
+        # vertex per pass is quadratic here
+        n = 20_000
+        g = generate(FamilySpec("path", n))
+        start = time.perf_counter()
+        state = czf_run(g, range(1, n, 2))
+        assert time.perf_counter() - start < 1.0
+        assert state.succeeded(g)
+        assert state.forces == tuple((v, v - 1) for v in range(n - 1, 0, -2))
+
+
 class TestDeductionBridge:
     def test_p2(self):
         g = generate(FamilySpec("path", 2))

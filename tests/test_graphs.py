@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from onemove import graphs
 from onemove.graphs import (
     FamilySpec,
     Graph,
@@ -60,9 +64,17 @@ class TestGraphValue:
     def test_adjacency(self):
         g = worked_graph()
         adj = g.adjacency()
-        assert adj[1] == [0, 2, 3, 4, 6]
+        assert list(adj[1]) == [0, 2, 3, 4, 6]
         assert g.neighbors(6) == [1, 5]
         assert g.degree(1) == 5
+
+    def test_vertex_lookups_reject_out_of_range(self):
+        g = worked_graph()
+        for v in (-1, 7):
+            with pytest.raises(ValueError):
+                g.degree(v)
+            with pytest.raises(ValueError):
+                g.neighbors(v)
 
     def test_hashable_with_roles(self):
         g = subdivide_all(Graph(2, [(0, 1)]))
@@ -305,6 +317,149 @@ class TestClassify:
         assert edge_key(3, 1) == (1, 3)
         with pytest.raises(ValueError):
             edge_key(2, 2)
+
+
+class TestMemo:
+    def test_rows_are_built_once_and_cannot_be_mutated(self):
+        g = worked_graph()
+        adj = g.adjacency()
+        assert g.adjacency() is adj
+        with pytest.raises(AttributeError):
+            adj[1].append(5)
+        with pytest.raises(TypeError):
+            adj[1] = ()
+        assert list(g.adjacency()[1]) == [0, 2, 3, 4, 6]
+        assert g.neighbors(1) == [0, 2, 3, 4, 6]
+
+    def test_equal_graphs_built_separately_share_no_memo(self):
+        a, b = worked_graph(), worked_graph()
+        assert a == b and hash(a) == hash(b)
+        assert a.adjacency() is not b.adjacency()
+        assert classify(a) is not classify(b)
+        assert classify(a) == classify(b)
+        assert a._memo is not b._memo
+        assert "_memo" not in repr(a)
+
+    def test_classification_runs_once_per_graph(self, monkeypatch):
+        calls = []
+        original = graphs._classify
+
+        def counted(g):
+            calls.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "_classify", counted)
+        g = worked_graph()
+        assert classify(g) is classify(g)
+        assert connected_components(g) == [list(range(7))]
+        assert calls == [7]
+        classify(worked_graph())
+        assert calls == [7, 7]
+
+
+def two_pass_classify(g):
+    """Reference classification: components by breadth-first search, then
+    blocks by a separate recursive lowpoint search, cycles walked from
+    their least vertex towards its smaller neighbor."""
+    adj = [sorted(w for e in g.edges if v in e for w in e if w != v) for v in range(g.n)]
+    comps, seen = [], set()
+    for s in range(g.n):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, queue = [s], deque([s])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(tuple(sorted(comp)))
+    disc, low, stack, blocks = {}, {}, [], []
+
+    def visit(v, parent):
+        disc[v] = low[v] = len(disc)
+        for w in adj[v]:
+            if w == parent:
+                continue
+            if w not in disc:
+                stack.append((v, w))
+                visit(w, v)
+                low[v] = min(low[v], low[w])
+                if low[w] >= disc[v]:
+                    block = []
+                    while True:
+                        block.append(stack.pop())
+                        if block[-1] == (v, w):
+                            break
+                    blocks.append(block)
+            elif disc[w] < disc[v]:
+                stack.append((v, w))
+                low[v] = min(low[v], disc[w])
+
+    for s in range(g.n):
+        if s not in disc:
+            visit(s, -1)
+    cactus, cycles = True, []
+    for block in blocks:
+        verts = {w for e in block for w in e}
+        if len(block) == 1:
+            continue
+        if len(block) != len(verts):
+            cactus = False
+            continue
+        ring = {w: sorted(x for e in block for x in e if w in e and x != w) for w in verts}
+        order = [min(verts)]
+        nxt = ring[order[0]][0]
+        while nxt != order[0]:
+            order.append(nxt)
+            nxt = next(x for x in ring[nxt] if x != order[-2])
+        cycles.append(tuple(order))
+    connected = len(comps) == 1
+    return graphs.GraphClass(
+        is_connected=connected,
+        is_tree=connected and g.m == g.n - 1,
+        is_unicyclic=connected and g.m == g.n,
+        is_cactus=cactus,
+        is_cubic=g.n > 0 and all(len(row) == 3 for row in adj),
+        components=tuple(comps),
+        cycles=tuple(sorted(cycles)) if cactus else (),
+    )
+
+
+@st.composite
+def structured_graphs(draw):
+    """Graphs on up to 14 vertices: random edge sets (often disconnected),
+    forests, and cactus forests, under a random relabeling."""
+    n = draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(("random", "forest", "cactus")))
+    edges = set()
+    if kind == "random":
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    else:
+        v = 1
+        while v < n:
+            if draw(st.integers(0, 3)) == 0:
+                v += 1  # v roots a new component
+                continue
+            anchor = draw(st.integers(0, v - 1))
+            size = draw(st.integers(2, min(n - v, 5))) if kind == "cactus" and n - v >= 2 else 1
+            if size == 1:
+                edges.add((anchor, v))
+            else:
+                ring = [anchor, *range(v, v + size)]
+                edges |= {(ring[i - 1], ring[i]) for i in range(len(ring))}
+            v += size
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, frozenset(edge_key(perm[a], perm[b]) for a, b in edges))
+
+
+class TestOneWalkClassify:
+    @settings(max_examples=400, deadline=None)
+    @given(structured_graphs())
+    def test_matches_two_pass_reference(self, g):
+        assert classify(g) == two_pass_classify(g)
 
 
 class TestPeelPendants:
