@@ -8,7 +8,8 @@ graph in a single branching vertex; those fall to a case analysis that
 compares the cost of the whole cycle with the cost of the path avoiding
 the branching vertex.  Solvers here compute placements only: slides are
 reconstructed greedily, and every finished plan is replayed through the
-engine before it is returned.
+engine before it is returned.  Paths and single cycles are cactus
+forests too: their solvers check the shape and hand over to cactus_solve.
 """
 
 from __future__ import annotations
@@ -111,10 +112,11 @@ def write_cactus_instance(inst: CactusInstance) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Local rules for degree-1 vertices, shared by all three solvers.  The
-# residual graph lives in an adjacency dict keyed by original labels;
-# deleting a vertex stands for its edges being cleared, with any slide
-# needed to get there deferred to the greedy completion.
+# Local rules for degree-1 vertices, shared by the cactus loop and its
+# path pieces.  The residual graph lives in an adjacency dict keyed by
+# the graph's own labels; deleting a vertex stands for its edges being
+# cleared, with any slide needed to get there deferred to the greedy
+# completion.
 # ---------------------------------------------------------------------------
 
 
@@ -186,10 +188,25 @@ def _sweep_isolated(
         _delete(adj, pre, (v,))
 
 
-def _path_places(g: Graph, pre: frozenset[int]) -> tuple[int, list[int], list[str]]:
-    """Leaf rules plus isolated sweep; dissolves any disjoint union of paths."""
-    adj = {v: set(ws) for v, ws in enumerate(g.adjacency())}
-    live_pre = set(pre)
+def _ring_adjacency(rotation: tuple[int, ...], skip: int | None = None) -> dict[int, set[int]]:
+    """Adjacency dict of a cycle given in cyclic order, less the vertex skip."""
+    adj: dict[int, set[int]] = {w: set() for w in rotation if w != skip}
+    for a, b in zip(rotation, rotation[1:] + rotation[:1]):
+        if a != skip and b != skip:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def _path_places(adj: dict[int, set[int]], pre) -> list[int]:
+    """Placements that dissolve a disjoint union of paths: the leaf rules
+    plus the isolated sweep.
+
+    adj is keyed by the caller's labels and is emptied; pre may hold
+    vertices outside adj and is only read.  Labels act only through
+    their order, which breaks ties between leaves.
+    """
+    live_pre = {v for v in adj if v in pre}
     places: list[int] = []
     trace: list[str] = []
     dirty = set(adj)
@@ -197,21 +214,7 @@ def _path_places(g: Graph, pre: frozenset[int]) -> tuple[int, list[int], list[st
     _sweep_isolated(adj, live_pre, places, trace, dirty)
     if adj:
         raise RuntimeError("leaf rules did not dissolve the path; this is a bug")
-    return len(places), places, trace
-
-
-def preoccupied_path_solve(p: Graph, preoccupied=frozenset()) -> tuple[int, Strategy]:
-    """Fewest extra searchers to clear a disjoint union of paths."""
-    pre = frozenset(preoccupied)
-    for v in pre:
-        if not 0 <= v < p.n:
-            raise ValueError(f"preoccupied vertex {v} out of range")
-    if p.m != p.n - len(connected_components(p)) or any(len(row) > 2 for row in p.adjacency()):
-        raise ValueError("input graph is not a disjoint union of paths")
-    value, places, _ = _path_places(p, pre)
-    strategy = complete_with_slides(p, places, preoccupied=pre)
-    certify(p, strategy, pre)
-    return value, strategy
+    return places
 
 
 def _ring_feasible(occupied: list[bool], pinned: int | None = None) -> bool:
@@ -274,12 +277,14 @@ def _ring_minimum_occupation(forced: list[bool]) -> list[int]:
     Position 0 must be forced.  Returns all occupied positions of a
     cheapest feasible choice, found by scanning the ring once per seam
     option with a state machine over (current run info, spare slide
-    capacity, whether two adjacent occupied positions exist yet).
+    capacity, whether two adjacent occupied positions exist yet).  Each
+    state keeps its choices as a linked list (occupied, previous node),
+    so a step costs O(1) and the scan is linear in the ring's length.
     """
     ring = len(forced)
     if not forced[0]:
         raise ValueError("position 0 must be forced")
-    best: tuple[int, list[int]] | None = None
+    best: tuple[int, tuple] | None = None
     for seam in (0, 1):
         # States: ("O", cap, len2) inside an occupied run, where cap is the
         # newest searcher's spare slide and len2 tracks run length >= 2;
@@ -287,36 +292,37 @@ def _ring_minimum_occupation(forced: list[bool]) -> list[int]:
         # leftcap spare capacity on its left flank.  big records whether
         # any occupied run reached length 2.
         initial = (("O", 1 - seam, False), False)
-        frontier: dict[tuple, tuple[int, list[bool]]] = {initial: (0, [True])}
+        frontier: dict[tuple, tuple[int, tuple]] = {initial: (0, (True, None))}
         for p in range(1, ring):
-            nxt: dict[tuple, tuple[int, list[bool]]] = {}
+            nxt: dict[tuple, tuple[int, tuple]] = {}
 
-            def push(state: tuple, cost: int, chosen: list[bool]) -> None:
+            def push(state: tuple, cost: int, chosen: tuple) -> None:
                 cur = nxt.get(state)
                 if cur is None or cost < cur[0]:
                     nxt[state] = (cost, chosen)
 
             for ((kind, x, y), big), (cost, chosen) in frontier.items():
+                on, off = (True, chosen), (False, chosen)
                 for occ in (True, False):
                     if forced[p] and not occ:
                         continue
                     add = 0 if forced[p] else int(occ)
                     if kind == "O":
                         if occ:
-                            push((("O", 1, True), True), cost + add, chosen + [True])
+                            push((("O", 1, True), True), cost + add, on)
                         else:
-                            push((("U", 1, x), big), cost, chosen + [False])
+                            push((("U", 1, x), big), cost, off)
                     else:
                         if occ:
                             if x == 1:
                                 if y:
-                                    push((("O", 1, False), big), cost + add, chosen + [True])
-                                push((("O", 0, False), big), cost + add, chosen + [True])
+                                    push((("O", 1, False), big), cost + add, on)
+                                push((("O", 0, False), big), cost + add, on)
                             else:
                                 if y:
-                                    push((("O", 0, False), big), cost + add, chosen + [True])
+                                    push((("O", 0, False), big), cost + add, on)
                         elif x == 1:
-                            push((("U", 2, y), big), cost, chosen + [False])
+                            push((("U", 2, y), big), cost, off)
             frontier = nxt
         for ((kind, x, y), big), (cost, chosen) in frontier.items():
             if kind == "O":
@@ -329,94 +335,50 @@ def _ring_minimum_occupation(forced: list[bool]) -> list[int]:
                 best = (cost, chosen)
     if best is None:
         raise RuntimeError("ring occupation search failed; this is a bug")
-    return [p for p, occ in enumerate(best[1]) if occ]
+    flags: list[bool] = []
+    node = best[1]
+    while node is not None:
+        occ, node = node
+        flags.append(occ)
+    return [p for p, occ in enumerate(reversed(flags)) if occ]
 
 
-def _cycle_places(
-    g: Graph, pre: frozenset[int], rotation: tuple[int, ...]
-) -> tuple[int, list[int], str]:
-    """Fewest extra searchers for a single cycle, with the case label.
+def _cycle_places(pre, rotation: tuple[int, ...]) -> tuple[list[int], str]:
+    """Fewest extra placements that clear a single cycle, with the case label.
 
-    No occupied vertex: a fixed pattern of ceil(n/2) placements.  Two
-    occupied vertices adjacent: their shared edge clears on its own, so
-    the remaining path decides.  Otherwise a ring scan finds the cheapest
-    placement set whose occupied runs satisfy the slide-capacity rules;
-    the label reports what the chosen optimum does at the lowest occupied
-    vertex u: its searcher rests (a), it must slide (b), or a new searcher
-    lands next to it (c).
+    rotation lists the cycle in cyclic order in the caller's labels; pre
+    may hold vertices off the cycle and is only read.  No occupied
+    vertex: a fixed pattern of ceil(n/2) placements.  Two occupied
+    vertices adjacent: their shared edge clears on its own, so the path
+    left when it is dropped decides.  Otherwise a ring scan finds the
+    cheapest placement set whose occupied runs satisfy the slide-capacity
+    rules; the label reports what the chosen optimum does at the lowest
+    occupied vertex u: its searcher rests (a), it must slide (b), or a
+    new searcher lands next to it (c).
     """
-    n = len(rotation)
-    if not pre:
-        places = alternating_places(rotation)
-        return len(places), places, "none"
+    held = [w for w in rotation if w in pre]
+    if not held:
+        return alternating_places(rotation), "none"
     adjacent = sorted(
-        tuple(sorted((rotation[i], rotation[(i + 1) % n])))
-        for i in range(n)
-        if rotation[i] in pre and rotation[(i + 1) % n] in pre
+        edge_key(a, b) for a, b in zip(rotation, rotation[1:] + rotation[:1]) if a in pre and b in pre
     )
     if adjacent:
         u, w = adjacent[0]
-        value, places, _ = _path_places(Graph(g.n, g.edges - {edge_key(u, w)}), pre)
-        return value, places, "adjacent"
-    u = min(pre)
-    at = rotation.index(u)
+        adj = _ring_adjacency(rotation)
+        adj[u].discard(w)
+        adj[w].discard(u)
+        return _path_places(adj, pre), "adjacent"
+    at = rotation.index(min(held))
     turned = rotation[at:] + rotation[:at]
-    forced = [v in pre for v in turned]
-    occupied_positions = _ring_minimum_occupation(forced)
-    places = sorted(turned[p] for p in occupied_positions if turned[p] not in pre)
-    occupied = [p in set(occupied_positions) for p in range(n)]
-    if _ring_feasible(occupied, pinned=0):
+    chosen = set(_ring_minimum_occupation([v in pre for v in turned]))
+    places = sorted(turned[p] for p in chosen if turned[p] not in pre)
+    if _ring_feasible([p in chosen for p in range(len(turned))], pinned=0):
         label = "a"
     elif turned[1] in places or turned[-1] in places:
         label = "c"
     else:
         label = "b"
-    return len(places), places, label
-
-
-def preoccupied_cycle_solve(c: Graph, preoccupied=frozenset()) -> tuple[int, Strategy]:
-    """Fewest extra searchers to clear a single cycle."""
-    pre = frozenset(preoccupied)
-    for v in pre:
-        if not 0 <= v < c.n:
-            raise ValueError(f"preoccupied vertex {v} out of range")
-    shape = classify(c)
-    if c.n < 3 or c.m != c.n or not shape.is_connected or any(
-        len(row) != 2 for row in c.adjacency()
-    ):
-        raise ValueError("input graph is not a cycle")
-    value, places, _ = _cycle_places(c, pre, shape.cycles[0])
-    strategy = complete_with_slides(c, places, preoccupied=pre)
-    certify(c, strategy, pre)
-    return value, strategy
-
-
-def _cycle_piece(
-    rotation: tuple[int, ...], pre: set[int], skip: int | None = None
-) -> tuple[Graph, frozenset[int], tuple[int, ...], list[int]]:
-    """One cycle of a cactus, or the path left when skip is taken out, as
-    a graph of its own, in O(|C| log |C|).
-
-    Vertices are relabeled densely in label order.  A cactus has no
-    chords, so the edges are the cycle's edges between kept vertices and
-    the graph is the one induced_subgraph would build (less any role
-    annotations, which the solvers do not read).  Returns the graph, its
-    preoccupied vertices, its rotation (skip left out) and the old label
-    of each new one.
-    """
-    old = sorted(w for w in rotation if w != skip)
-    new = {w: i for i, w in enumerate(old)}
-    edges = [
-        (new[a], new[b])
-        for a, b in zip(rotation[-1:] + rotation[:-1], rotation)
-        if a != skip and b != skip
-    ]
-    return (
-        Graph(len(old), edges),
-        frozenset(new[w] for w in old if w in pre),
-        tuple(new[w] for w in rotation if w != skip),
-        old,
-    )
+    return places, label
 
 
 def cactus_solve(inst: CactusInstance) -> CactusPlan:
@@ -429,7 +391,8 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
     cleared now (keeping v for the rest of the graph) or all of C goes.
     Cases 5.1/5.2 apply when v starts occupied, 5.3/5.4 when it does not.
     Each round costs time in what it deletes: only vertices whose degree
-    fell are looked at again.
+    fell are looked at again, and each cycle piece is solved in the
+    graph's own labels.
     """
     g = inst.graph
     rows = g.adjacency()
@@ -483,11 +446,10 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
         isolated.clear()
         if ready:
             for cyc in ready:
-                sub, sub_pre, ring, old = _cycle_piece(cyc, pre)
-                val, pl, label = _cycle_places(sub, sub_pre, ring)
-                places.extend(old[x] for x in pl)
+                pl, label = _cycle_places(pre, cyc)
+                places.extend(pl)
                 listing = ",".join(str(w) for w in cyc)
-                trace.append(f"isolated-cycle ({listing}) case={label} adds={val}")
+                trace.append(f"isolated-cycle ({listing}) case={label} adds={len(pl)}")
                 _delete(adj, pre, cyc)
             continue
 
@@ -500,10 +462,9 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
         v, cyc, _ = heapq.heappop(leaves)
         listing = ",".join(str(w) for w in cyc)
 
-        sub_p, pre_p, _, old_p = _cycle_piece(cyc, pre, skip=v)
-        cf_p, pl_p, _ = _path_places(sub_p, pre_p)
-        sub_c, pre_c, ring_c, old_c = _cycle_piece(cyc, pre)
-        cf_c, pl_c, label = _cycle_places(sub_c, pre_c, ring_c)
+        pl_p = _path_places(_ring_adjacency(cyc, skip=v), pre)
+        pl_c, label = _cycle_places(pre, cyc)
+        cf_p, cf_c = len(pl_p), len(pl_c)
 
         if v in pre:
             if not cf_c <= cf_p <= cf_c + 1:
@@ -521,13 +482,13 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
             case, clear_path = ("5.3", True) if cf_c == cf_p + 1 else ("5.4", False)
 
         if clear_path:
-            places.extend(old_p[x] for x in pl_p)
+            places.extend(pl_p)
             trace.append(
                 f"step{case} cycle=({listing}) extender={v} path={cf_p} cycle={cf_c}"
             )
             dirty |= _delete(adj, pre, (w for w in cyc if w != v))
         else:
-            places.extend(old_c[x] for x in pl_c)
+            places.extend(pl_c)
             trace.append(
                 f"step{case} cycle=({listing}) extender={v}"
                 f" path={cf_p} cycle={cf_c} case={label}"
@@ -539,3 +500,21 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
     return CactusPlan(
         additional_searchers=len(places), strategy=strategy, trace=tuple(trace)
     )
+
+
+def preoccupied_path_solve(p: Graph, preoccupied=frozenset()) -> tuple[int, Strategy]:
+    """Fewest extra searchers to clear a disjoint union of paths."""
+    if p.m != p.n - len(connected_components(p)) or any(len(row) > 2 for row in p.adjacency()):
+        raise ValueError("input graph is not a disjoint union of paths")
+    plan = cactus_solve(CactusInstance(p, preoccupied))
+    return plan.additional_searchers, plan.strategy
+
+
+def preoccupied_cycle_solve(c: Graph, preoccupied=frozenset()) -> tuple[int, Strategy]:
+    """Fewest extra searchers to clear a single cycle."""
+    if c.n < 3 or c.m != c.n or not classify(c).is_connected or any(
+        len(row) != 2 for row in c.adjacency()
+    ):
+        raise ValueError("input graph is not a cycle")
+    plan = cactus_solve(CactusInstance(c, preoccupied))
+    return plan.additional_searchers, plan.strategy

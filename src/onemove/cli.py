@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import logging
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -282,8 +283,9 @@ def _cmd_probe(args) -> int:
     else:
         grid = g.sorted_edges()
     tasks = [(args.mode, g, e) for e in grid]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_probe_one, tasks))
     else:
         results = [_probe_one(t) for t in tasks]

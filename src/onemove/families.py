@@ -6,28 +6,22 @@ unicyclic graphs, and attached-tree graphs, and a searcher layout for
 clique-constructed graphs.  Pendant-edge dismantling orderings act as
 certificates in their own right; any two orderings of the same graph
 have equal length, so the count they certify is well defined.  Trees,
-unicyclic graphs, dismantling and attached trees all start from one
-greedy pendant peel (graphs.peel_pendants): deleting any pendant edge
-of a dismantlable graph leaves a dismantlable graph, so no search is
-needed.
+dismantling and attached trees all start from one greedy pendant peel
+(graphs.peel_pendants): deleting any pendant edge of a dismantlable
+graph leaves a dismantlable graph, so no search is needed.  Unicyclic
+graphs are cactus forests, so a shape check hands them to
+cactus.cactus_solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cactus import CactusInstance, cactus_solve
 from .deduction import Layout
-from .engines import Strategy, certify, complete_with_slides
+from .engines import Strategy, certify
 from .exact import ParameterResult
-from .graphs import (
-    Edge,
-    Graph,
-    alternating_places,
-    connected_components,
-    cycle_order,
-    edge_key,
-    peel_pendants,
-)
+from .graphs import Edge, Graph, connected_components, edge_key, peel_pendants
 
 __all__ = [
     "DismantlingOrdering",
@@ -113,36 +107,14 @@ def tree_solve(t: Graph) -> ParameterResult:
 def unicyclic_solve(g: Graph) -> ParameterResult:
     """Minimum searchers for a connected graph with exactly one cycle.
 
-    Pendant edges are pruned first, each contributing one searcher placed
-    on its leaf.  If pruning consumes the cycle the remainder is a set of
-    isolated vertices, each costing one more searcher.  Otherwise the
-    bare cycle survives and takes ceil(|C|/2) searchers.
+    Such a graph is a cactus, so once its shape is checked the cactus
+    solver decides it: pendant trees fall to the leaf rules and the bare
+    cycle, if it survives them, takes ceil(|C|/2) searchers.
     """
-    comps = connected_components(g)
-    if len(comps) != 1 or g.m != g.n:
+    if len(connected_components(g)) != 1 or g.m != g.n:
         raise ValueError("input graph is not connected unicyclic")
-    pairs, adj = peel_pendants(g)
-    places = [leaf for leaf, _ in pairs]
-    deletions = len(pairs)
-
-    isolated = sorted(v for v, ws in adj.items() if not ws)
-    on_cycle = {v for v, ws in adj.items() if len(ws) == 2}
-    if len(isolated) + len(on_cycle) != len(adj):
-        raise RuntimeError("pruning left a vertex of degree 3+; this is a bug")
-
-    if not on_cycle:
-        value = len(adj) + deletions
-    else:
-        rotation = cycle_order([(v, w) for v in on_cycle for w in adj[v] if v < w])
-        places.extend(alternating_places(rotation))
-        value = g.n - len(rotation) // 2 - deletions
-    places.extend(isolated)
-    if len(places) != value:
-        raise RuntimeError("placement count disagrees with the closed form; this is a bug")
-
-    strategy = complete_with_slides(g, sorted(places))
-    certify(g, strategy)
-    return ParameterResult(value=value, witness=strategy, method="unicyclic")
+    plan = cactus_solve(CactusInstance(g))
+    return ParameterResult(value=plan.additional_searchers, witness=plan.strategy, method="unicyclic")
 
 
 # ---------------------------------------------------------------------------

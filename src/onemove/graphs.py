@@ -431,24 +431,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [list(comp) for comp in classify(g).components]
 
 
-def cycle_order(block: list[Edge]) -> tuple[int, ...]:
-    """Vertices of a cycle, given by its edges, in traversal order from its least vertex."""
-    adj: dict[int, list[int]] = {}
-    for u, v in block:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = min(adj)
-    order = [start]
-    prev, cur = -1, start
-    while True:
-        nxt = min(w for w in adj[cur] if w != prev)
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(order)
-
-
 def peel_pendants(g: Graph) -> tuple[list[tuple[int, int]], dict[int, set[int]]]:
     """Delete pendant edges, least edge_key first, until none is left.
 

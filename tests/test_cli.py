@@ -380,3 +380,31 @@ class TestProbe:
         _, serial, _ = run(capsys, "probe", "--input", path)
         _, parallel, _ = run(capsys, "probe", "--input", path, "--jobs", "2")
         assert json.loads(serial)["results"] == json.loads(parallel)["results"]
+
+    @pytest.mark.parametrize("cpus, expected", [(64, 6), (4, 4), (None, None)])
+    def test_jobs_capped_by_grid_and_cpus(self, capsys, tmp_path, monkeypatch, cpus, expected):
+        # A fake pool records its size and maps serially, so a huge --jobs
+        # value never starts a process.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        path = write(tmp_path, "k4.el", K4)
+        _, serial, _ = run(capsys, "probe", "--input", path)
+        code, out, _ = run(capsys, "probe", "--input", path, "--jobs", "100000")
+        assert code == 0
+        assert sizes == ([] if expected is None else [expected])
+        assert json.loads(out)["results"] == json.loads(serial)["results"]

@@ -1,0 +1,50 @@
+"""The library solve() on every auto route, against the exhaustive search."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onemove.engines import certify
+from onemove.exact import czf_exact
+from onemove.graphs import Graph, edge_key
+from onemove.solver import solve
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 12 vertices: uniformly random, random with
+    pendant vertices hung on it, or a relabeled cactus forest."""
+    shape = draw(st.sampled_from(("random", "pendants", "cactus")))
+    if shape == "cactus":
+        n = draw(st.integers(1, 12))
+        edges = set()
+        v = 1
+        while v < n:
+            if draw(st.integers(0, 5)) == 0:
+                v += 1  # v roots a new component
+                continue
+            size = draw(st.integers(1, min(n - v, 5)))
+            ring = [draw(st.integers(0, v - 1)), *range(v, v + size)]
+            edges |= {edge_key(ring[i - 1], ring[i]) for i in range(len(ring))}
+            v += size
+        perm = draw(st.permutations(range(n)))
+        return Graph(n, {edge_key(perm[a], perm[b]) for a, b in edges})
+    core = draw(st.integers(1, 12 if shape == "random" else 6))
+    pairs = [(a, b) for a in range(core) for b in range(a + 1, core)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair for pair, kept in zip(pairs, keep) if kept}
+    n = core
+    if shape == "pendants":
+        for v in sorted(draw(st.sets(st.integers(0, core - 1), min_size=1))):
+            edges.add((v, n))
+            n += 1
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_auto_solve_matches_exhaustive_search(g):
+    # Covers every auto route: tree, unicyclic and cactus (all through the
+    # cactus core but trees), dismantle and the exhaustive search itself.
+    sol = solve(g)
+    assert sol.value == czf_exact(g).value
+    certify(g, sol.witness)
