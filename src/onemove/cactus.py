@@ -8,8 +8,7 @@ graph in a single branching vertex; those fall to a case analysis that
 compares the cost of the whole cycle with the cost of the path avoiding
 the branching vertex.  Solvers here compute placements only: slides are
 reconstructed greedily, and every finished plan is replayed through the
-engine before it is returned.  Paths and single cycles are cactus
-forests too: their solvers check the shape and hand over to cactus_solve.
+engine before it is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .graphs import (
     Graph,
     alternating_places,
     classify,
-    connected_components,
     edge_key,
     parse_edge_list,
     write_edge_list,
@@ -34,8 +32,6 @@ __all__ = [
     "parse_cactus_instance",
     "split_preoccupied",
     "write_cactus_instance",
-    "preoccupied_path_solve",
-    "preoccupied_cycle_solve",
     "cactus_solve",
 ]
 
@@ -501,20 +497,3 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
         additional_searchers=len(places), strategy=strategy, trace=tuple(trace)
     )
 
-
-def preoccupied_path_solve(p: Graph, preoccupied=frozenset()) -> tuple[int, Strategy]:
-    """Fewest extra searchers to clear a disjoint union of paths."""
-    if p.m != p.n - len(connected_components(p)) or any(len(row) > 2 for row in p.adjacency()):
-        raise ValueError("input graph is not a disjoint union of paths")
-    plan = cactus_solve(CactusInstance(p, preoccupied))
-    return plan.additional_searchers, plan.strategy
-
-
-def preoccupied_cycle_solve(c: Graph, preoccupied=frozenset()) -> tuple[int, Strategy]:
-    """Fewest extra searchers to clear a single cycle."""
-    if c.n < 3 or c.m != c.n or not classify(c).is_connected or any(
-        len(row) != 2 for row in c.adjacency()
-    ):
-        raise ValueError("input graph is not a cycle")
-    plan = cactus_solve(CactusInstance(c, preoccupied))
-    return plan.additional_searchers, plan.strategy

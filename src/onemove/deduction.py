@@ -8,7 +8,7 @@ at most once.  A layout is successful when firing can protect every vertex.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph
 
@@ -60,9 +60,6 @@ class FiringSequence:
                     raise ValueError(f"vertex {v} fires in two stages")
             seen.update(stage)
 
-    def firing_vertices(self) -> list[int]:
-        return [v for stage in self.stages for v in sorted(stage)]
-
     def stage_sets(self) -> list[list[int]]:
         return [sorted(stage) for stage in self.stages]
 
@@ -104,6 +101,18 @@ def _fireable(adj: list[list[int]], protected: set[int], unmoved: dict[int, int]
         if 1 <= need <= stock:
             out.append(v)
     return out
+
+
+def _fire(
+    stage: FiringStage, protected: set[int], counts: dict[int, int], unmoved: dict[int, int]
+) -> None:
+    """Send one searcher from each firing vertex to each of its targets."""
+    for v, targets in stage.items():
+        unmoved[v] -= len(targets)
+        counts[v] -= len(targets)
+        for w in targets:
+            counts[w] = counts.get(w, 0) + 1
+            protected.add(w)
 
 
 def run_deduction(
@@ -149,12 +158,7 @@ def run_deduction(
                     f"searchers, has {unmoved.get(v, 0)}"
                 )
             stage[v] = targets
-        for v, targets in stage.items():
-            unmoved[v] -= len(targets)
-            counts[v] -= len(targets)
-            for w in targets:
-                counts[w] = counts.get(w, 0) + 1
-                protected.add(w)
+        _fire(stage, protected, counts, unmoved)
         history.append(stage)
 
     if policy == "explicit":
@@ -231,12 +235,7 @@ def _replay_reversed(g: Graph, start: Layout, stage_sets: list[list[int]]) -> bo
             if unmoved.get(v, 0) < len(targets):
                 return False
             fires[v] = targets
-        for v, targets in fires.items():
-            unmoved[v] -= len(targets)
-            counts[v] -= len(targets)
-            for w in targets:
-                counts[w] = counts.get(w, 0) + 1
-                protected.add(w)
+        _fire(fires, protected, counts, unmoved)
     return protected == set(range(g.n))
 
 

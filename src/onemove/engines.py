@@ -10,7 +10,6 @@ action costs time in the degree of the vertex that gains a searcher.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .deduction import FiringSequence, Layout, is_successful, run_deduction
@@ -134,36 +133,6 @@ class Strategy:
         places = [a for a in self.actions if a[0] == "place"]
         slides = [a for a in self.actions if a[0] == "slide"]
         return Strategy(tuple(places) + tuple(slides))
-
-    def to_json(self) -> str:
-        items = []
-        for act in self.actions:
-            if act[0] == "place":
-                items.append({"place": act[1]})
-            else:
-                items.append({"slide": [act[1], act[2]]})
-        return json.dumps(items)
-
-    @staticmethod
-    def from_json(text: str) -> "Strategy":
-        try:
-            items = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"strategy is not valid JSON: {exc}") from None
-        if not isinstance(items, list):
-            raise ValueError("strategy JSON must be a list of actions")
-        actions: list[tuple] = []
-        for i, item in enumerate(items):
-            if not isinstance(item, dict) or len(item) != 1:
-                raise ValueError(f"action {i}: expected a one-key object, got {item!r}")
-            if "place" in item:
-                actions.append(("place", int(item["place"])))
-            elif "slide" in item:
-                u, v = item["slide"]
-                actions.append(("slide", int(u), int(v)))
-            else:
-                raise ValueError(f"action {i}: unknown action {item!r}")
-        return Strategy(tuple(actions))
 
     @staticmethod
     def from_text(text: str) -> "Strategy":

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .deduction import Layout, run_deduction
-from .engines import Strategy, cfms_run, complete_with_slides, czf_run
+from .engines import cfms_run, complete_with_slides
 from .graphs import Graph, adjacency_masks, connected_components, edge_key, induced_subgraph
 
 CZF_EXACT_CEILING = 24
@@ -172,16 +172,21 @@ def czf_exact(g: Graph, *, force: bool = False) -> ParameterResult:
 
     Works componentwise; within a component with an edge the search starts
     at the ceil(n/2) lower bound.  Refuses graphs above the practicality
-    ceiling unless force is given.
+    ceiling unless force is given, and components over 32 vertices, whose
+    subsets do not fit the uint32 masks, even then.
     """
     if g.n > CZF_EXACT_CEILING and not force:
         raise ValueError(
             f"exhaustive forcing search refused for n={g.n} > {CZF_EXACT_CEILING}; "
             "pass force=True to insist"
         )
+    components = connected_components(g)
+    widest = max(map(len, components), default=0)
+    if widest > 32:
+        raise ValueError(f"exhaustive forcing search refused for a {widest}-vertex component > 32")
     total = 0
     witness: list[int] = []
-    for comp in connected_components(g):
+    for comp in components:
         if len(comp) == 1:
             total += 1
             witness.extend(comp)

@@ -126,8 +126,8 @@ def pendent_dismantle(g: Graph, *, stats: dict | None = None) -> DismantlingOrde
     """The greedy pendant-edge dismantling ordering, or None if an edge survives.
 
     Greedy choice is safe (see graphs.peel_pendants), so the peel decides
-    dismantlability without search.  A stats dict gets "backtracks" = 0,
-    kept for callers that count search work.
+    dismantlability without search.  A stats dict gets "backtracks" = 0:
+    the keyword stays because perfbench's tracer passes it.
     """
     peeled, residual = peel_pendants(g)
     if stats is not None:

@@ -340,34 +340,6 @@ def subdivide_all(g: Graph) -> Graph:
     return Graph(g.n + g.m, frozenset(edges), roles)
 
 
-def delete_pendent_edge(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
-    """Remove a pendent edge together with both of its endpoints.
-
-    At least one endpoint must have degree 1.  Surviving vertices are
-    relabeled densely; the returned map sends old labels to new ones.
-    """
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    if g.degree(u) != 1 and g.degree(v) != 1:
-        raise ValueError(f"edge ({u}, {v}) is not pendent: neither endpoint has degree 1")
-    survivors = [w for w in range(g.n) if w not in (u, v)]
-    relabel = {old: new for new, old in enumerate(survivors)}
-    edges = frozenset(
-        edge_key(relabel[a], relabel[b]) for a, b in g.edges if a not in (u, v) and b not in (u, v)
-    )
-    roles = None
-    if g.roles is not None:
-        roles = {relabel[w]: g.roles[w] for w in survivors}
-    edge_roles = None
-    if g.edge_roles is not None:
-        edge_roles = {
-            edge_key(relabel[a], relabel[b]): tag
-            for (a, b), tag in g.edge_roles.items()
-            if a not in (u, v) and b not in (u, v)
-        }
-    return Graph(g.n - 2, edges, roles, edge_roles), relabel
-
-
 def edit_edge(g: Graph, u: int, v: int, mode: str) -> Graph:
     """Add, remove, or contract the edge uv.
 

@@ -15,8 +15,6 @@ from onemove.cactus import (
     CactusPlan,
     cactus_solve,
     parse_cactus_instance,
-    preoccupied_cycle_solve,
-    preoccupied_path_solve,
     write_cactus_instance,
 )
 from onemove.engines import cfms_run, complete_with_slides
@@ -52,6 +50,12 @@ def random_cactus(rng, n):
     return Graph(n, edges)
 
 
+def solve_pre(g, pre=frozenset()):
+    """The cactus core's value and strategy for g with pre occupied."""
+    plan = cactus_solve(CactusInstance(g, frozenset(pre)))
+    return plan.additional_searchers, plan.strategy
+
+
 def plan_clears(g, plan, pre):
     state = cfms_run(g, plan.strategy, preoccupied=pre)
     return state.success and state.ever_occupied == frozenset(range(g.n))
@@ -74,24 +78,16 @@ class TestInstance:
 
 class TestPathSolve:
     def test_edge_needs_one(self):
-        value, _ = preoccupied_path_solve(path_graph(2))
+        value, _ = solve_pre(path_graph(2))
         assert value == 1
 
     def test_middle_preoccupied_needs_one(self):
-        value, _ = preoccupied_path_solve(path_graph(3), {1})
+        value, _ = solve_pre(path_graph(3), {1})
         assert value == 1
 
     def test_both_preoccupied_needs_none(self):
-        value, _ = preoccupied_path_solve(path_graph(2), {0, 1})
+        value, _ = solve_pre(path_graph(2), {0, 1})
         assert value == 0
-
-    def test_rejects_cycle(self):
-        with pytest.raises(ValueError):
-            preoccupied_path_solve(cycle_graph(4))
-
-    def test_rejects_branching(self):
-        with pytest.raises(ValueError):
-            preoccupied_path_solve(generate(FamilySpec("star", 4)))
 
     def test_exhaustive_small_paths(self):
         for n in range(1, 8):
@@ -99,29 +95,29 @@ class TestPathSolve:
             for r in range(n + 1):
                 for pre in itertools.combinations(range(n), r):
                     pre = frozenset(pre)
-                    value, strategy = preoccupied_path_solve(g, pre)
+                    value, strategy = solve_pre(g, pre)
                     assert value == cfms_exact(g, preoccupied=pre).value
                     state = cfms_run(g, strategy, preoccupied=pre)
                     assert state.success
 
     def test_disjoint_paths_sum(self):
         g = Graph(5, [(0, 1), (3, 4)])
-        value, _ = preoccupied_path_solve(g, {3})
+        value, _ = solve_pre(g, {3})
         assert value == cfms_exact(g, preoccupied=frozenset({3})).value
 
 
 class TestCycleSolve:
     def test_hexagon_without_preoccupied(self):
-        value, _ = preoccupied_cycle_solve(cycle_graph(6))
+        value, _ = solve_pre(cycle_graph(6))
         assert value == 3
 
     def test_triangle_one_preoccupied(self):
-        value, _ = preoccupied_cycle_solve(cycle_graph(3), {0})
+        value, _ = solve_pre(cycle_graph(3), {0})
         assert value == 1
 
     def test_adjacent_pair_matches_path(self):
-        value, _ = preoccupied_cycle_solve(cycle_graph(4), {0, 1})
-        path_value, _ = preoccupied_path_solve(
+        value, _ = solve_pre(cycle_graph(4), {0, 1})
+        path_value, _ = solve_pre(
             Graph(4, [(1, 2), (2, 3), (0, 3)]), {0, 1})
         assert value == path_value == 0
 
@@ -129,21 +125,17 @@ class TestCycleSolve:
         # With searchers only on two opposite vertices, each faces two
         # contaminated edges and nobody may slide first; one extra searcher
         # next to either breaks the standoff.
-        value, strategy = preoccupied_cycle_solve(cycle_graph(4), {1, 3})
+        value, strategy = solve_pre(cycle_graph(4), {1, 3})
         assert value == 1
         state = cfms_run(cycle_graph(4), strategy, preoccupied=frozenset({1, 3}))
         assert state.success
-
-    def test_rejects_non_cycle(self):
-        with pytest.raises(ValueError):
-            preoccupied_cycle_solve(path_graph(4))
 
     def test_long_cycle_within_budget(self):
         # Copying each scan state's choices at every ring position made
         # the ring scan quadratic: 3.4 s at 8,000 vertices.
         n = 20_000
         start = time.perf_counter()
-        value, _ = preoccupied_cycle_solve(cycle_graph(n), frozenset(range(0, n, 5)))
+        value, _ = solve_pre(cycle_graph(n), frozenset(range(0, n, 5)))
         assert time.perf_counter() - start < 2.0
         assert value == 3 * n // 10
 
@@ -153,7 +145,7 @@ class TestCycleSolve:
             for r in range(n + 1):
                 for pre in itertools.combinations(range(n), r):
                     pre = frozenset(pre)
-                    value, strategy = preoccupied_cycle_solve(g, pre)
+                    value, strategy = solve_pre(g, pre)
                     assert value == cfms_exact(g, preoccupied=pre).value
                     state = cfms_run(g, strategy, preoccupied=pre)
                     assert state.success

@@ -99,6 +99,14 @@ class TestSolve:
         assert code == 2
         assert "refused" in err
 
+    def test_forced_exact_refuses_past_mask_width(self, capsys, tmp_path):
+        n = 33
+        pairs = [f"{u} {v}" for u in range(n) for v in range(u + 1, n)]
+        path = write(tmp_path, "k33.el", "\n".join([f"{n} {len(pairs)}", *pairs]) + "\n")
+        code, _, err = run(capsys, "solve", "--input", path, "--method", "exact", "--force")
+        assert code == 2
+        assert "refused" in err
+
     def test_clique_method_needs_certificate(self, capsys, tmp_path):
         path = write(tmp_path, "k4.el", K4)
         code, _, err = run(capsys, "solve", "--input", path, "--method", "clique")

@@ -99,6 +99,7 @@ class TestRun:
         # vertex 1 fires into 2; the spare searcher on 0 never moves
         assert state.protected == frozenset({0, 1, 2})
         assert state.counts[0] == 2
+        assert state.unmoved == {0: 2, 1: 0}
 
     def test_fireable_excludes_vacuous(self):
         g = generate(FamilySpec("path", 3))

@@ -96,10 +96,6 @@ class TestCzf:
 
 
 class TestStrategy:
-    def test_round_trip_json(self):
-        s = Strategy((("place", 0), ("place", 2), ("slide", 0, 1)))
-        assert Strategy.from_json(s.to_json()) == s
-
     def test_from_text(self):
         s = Strategy.from_text("place 0; slide 0 1")
         assert s.actions == (("place", 0), ("slide", 0, 1))

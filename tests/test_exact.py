@@ -204,6 +204,22 @@ class TestCeilings:
         with pytest.raises(ValueError, match="force=True"):
             czf_exact(g)
 
+    def test_czf_refuses_wide_component_even_forced(self, monkeypatch):
+        # Subset masks are uint32: K33 used to overflow inside the search.
+        def no_masks(*args):
+            raise AssertionError("a mask was built before the refusal")
+
+        monkeypatch.setattr(exact, "_combo_masks", no_masks)
+        monkeypatch.setattr(exact, "_combo_masks_small", no_masks)
+        g = Graph(33, frozenset((u, v) for u in range(33) for v in range(u + 1, 33)))
+        with pytest.raises(ValueError, match="refused"):
+            czf_exact(g, force=True)
+
+    def test_czf_forced_limit_is_per_component(self):
+        # Two 17-vertex paths: n = 34, but each component fits a mask.
+        g = Graph(34, frozenset((i, i + 1) for i in range(33) if i != 16))
+        assert czf_exact(g, force=True).value == 18
+
     def test_mu_refuses_large(self):
         g = Graph(17, frozenset({(i, i + 1) for i in range(16)}))
         with pytest.raises(ValueError, match="force=True"):

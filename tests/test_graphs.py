@@ -15,7 +15,6 @@ from onemove.graphs import (
     Graph,
     classify,
     connected_components,
-    delete_pendent_edge,
     edit_edge,
     edge_key,
     generate,
@@ -203,24 +202,6 @@ class TestEdits:
             for v in middles:
                 if u != v:
                     assert not h.has_edge(u, v)
-
-    def test_delete_pendent_edge(self):
-        g = parse_edge_list("4 3\n0 1\n1 2\n2 3\n")
-        h, relabel = delete_pendent_edge(g, 2, 3)
-        assert h.n == 2
-        assert h.edges == frozenset({(0, 1)})
-        assert relabel == {0: 0, 1: 1}
-
-    def test_delete_pendent_requires_leaf(self):
-        g = generate(FamilySpec("cycle", 4))
-        with pytest.raises(ValueError, match="pendent"):
-            delete_pendent_edge(g, 0, 1)
-
-    def test_delete_pendent_drops_other_incident_edges(self):
-        g = parse_edge_list("5 4\n0 1\n1 2\n1 3\n3 4\n")
-        h, relabel = delete_pendent_edge(g, 0, 1)
-        assert h.n == 3
-        assert h.edges == frozenset({(relabel[3], relabel[4])})
 
     def test_edit_add_remove(self):
         g = generate(FamilySpec("path", 3))

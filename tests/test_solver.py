@@ -1,11 +1,12 @@
-"""The library solve() on every auto route, against the exhaustive search."""
+"""The library solve() on every route, against the exhaustive search."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onemove.engines import certify
 from onemove.exact import czf_exact
-from onemove.graphs import Graph, edge_key
+from onemove.graphs import Graph, classify, connected_components, edge_key
 from onemove.solver import solve
 
 
@@ -48,3 +49,42 @@ def test_auto_solve_matches_exhaustive_search(g):
     sol = solve(g)
     assert sol.value == czf_exact(g).value
     certify(g, sol.witness)
+
+
+def _dismantlable(g):
+    """Whether deleting pendant edges, both ends each time, removes every edge."""
+    nbrs = {v: set(row) for v, row in enumerate(g.adjacency())}
+    while True:
+        leaf = next((v for v, row in nbrs.items() if len(row) == 1), None)
+        if leaf is None:
+            return not any(nbrs.values())
+        (other,) = nbrs[leaf]
+        for x in (leaf, other):
+            for w in nbrs.pop(x):
+                nbrs[w].discard(x)
+
+
+def _accepts(g):
+    """The explicit methods that take g, by each one's documented shape."""
+    parts = len(connected_components(g))
+    return {
+        "tree": g.m == g.n - parts,
+        "unicyclic": parts == 1 and g.m == g.n,
+        "cactus": classify(g).is_cactus,
+        "dismantle": _dismantlable(g),
+        "exact": True,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_explicit_methods_match_exhaustive_search(g):
+    value = czf_exact(g).value
+    for method, accepted in _accepts(g).items():
+        if not accepted:
+            with pytest.raises(ValueError):
+                solve(g, method=method)
+            continue
+        sol = solve(g, method=method)
+        assert (sol.method, sol.value) == (method, value)
+        certify(g, sol.witness)
