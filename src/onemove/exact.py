@@ -5,6 +5,15 @@ routines, so they stay deliberately independent of each other: the three
 process oracles simulate their own process definitions and share no
 shortcuts beyond the graph representation, and the matching oracle
 searches orderings of matchings without playing any process.
+
+The forcing and deduction searches play each size class of candidates
+with a scalar bitset closure while the class is small.  From a measured
+cutoff up (_VECTOR_CUTOFF subsets, _LAYOUT_CUTOFF layouts), they build
+the class as numpy rows and hand them, chunk by chunk, to one sweep
+driver, _first_hit, which finds the first row in enumeration order whose
+process reaches every vertex.  Each oracle passes the driver its own
+firing step, so each still plays its own process.  No oracle keeps a
+result between calls; the only table kept is a 16-bit popcount.
 """
 
 from __future__ import annotations
@@ -21,16 +30,65 @@ from .engines import cfms_run, complete_with_slides
 from .graphs import Graph, adjacency_masks, connected_components, edge_key, induced_subgraph
 
 CZF_EXACT_CEILING = 24
+# The deduction search's worst case at a given n is a star: every total
+# from ceil(n/2) to n - 2 is swept in full.  It took 0.84 s at n = 13 and
+# 3.2 s at n = 14; G(n, p), p = 0.3..0.95, took at most 0.24 s at 13.
+D_EXACT_CEILING = 13
+# The sliding search cross-checks itself with d_exact, so it stops there too.
+CFMS_EXACT_CEILING = D_EXACT_CEILING
 MU_EXACT_CEILING = 16
 
-# Below this class size the scalar subset loop beats the numpy setup cost.
-# Per size class of random graphs with n = 10..13, the scalar loop was
-# faster up to 715 subsets (0.26 against 0.53 ms) and the numpy sweep from
-# 792 subsets up (0.57 against 0.71 ms); the oracles' n <= 11 graphs
-# (at most 462 subsets) stay scalar.
+# Below these class sizes the scalar loop beats the numpy setup cost.
+# Per size class of random graphs with n = 10..13, the scalar subset loop
+# was faster up to 715 subsets (0.26 against 0.53 ms) and the numpy sweep
+# from 792 subsets up (0.57 against 0.71 ms); the oracles' n <= 11 graphs
+# (at most 462 subsets) stay scalar.  Layouts cost the scalar loop more:
+# on G(n, 0.5) with n = 6..10 it was faster up to 120 layouts (0.17
+# against 0.23 ms) and the sweep from 210 up (0.24 against 0.33 ms).
 _VECTOR_CUTOFF = 768
-# Masks per numpy sweep chunk: the sweep stops after the first chunk with a hit.
+_LAYOUT_CUTOFF = 192
+# Masks per numpy forcing-sweep chunk, and layout rows in the first
+# deduction-sweep chunk: the sweep stops after the first chunk with a hit.
 _SWEEP_CHUNK = 1 << 15
+_LAYOUT_CHUNK = 1 << 9
+
+
+def _first_hit(chunks, full, play_round):
+    """The first candidate whose process reaches every vertex.
+
+    chunks yields (start, state) pairs in enumeration order: start holds
+    one row per candidate along axis 0, and state is the matching array
+    of reached-vertex masks.  play_round(start, state) plays one round of
+    the process on every row, updating state in place.  A row leaves once
+    a round leaves it unchanged (its closure is reached) or full, and once
+    a hit is known every later row leaves too, so the chunk ends with its
+    least hit and the sweep stops at the first chunk that holds one.
+    Returns (position in the whole stream, start row), or None when no
+    candidate succeeds.
+    """
+    offset = 0
+    for start, state in chunks:
+        size = len(state)
+        index = np.arange(size)
+        best = found = None
+        while index.size:
+            before = state.copy()
+            play_round(start, state)
+            done = state == full
+            if done.any():
+                # Every live row precedes the best hit so far, so a new
+                # hit is always the new least one.
+                at = int(np.argmax(done))
+                best, found = index[at], start[at]
+            keep = (state != before) & ~done
+            if best is not None:
+                keep &= index < best
+            if not keep.all():
+                start, state, index = start[keep], state[keep], index[keep]
+        if found is not None:
+            return offset + int(best), found
+        offset += size
+    return None
 
 
 @dataclass(frozen=True)
@@ -111,41 +169,28 @@ def _combo_masks_small(n: int, k: int) -> tuple[int, ...]:
 def _first_full(nbrs: list[int], n: int, masks: np.ndarray) -> int | None:
     """Index of the first mask whose forcing closure colors every vertex.
 
-    The masks are swept in chunks of _SWEEP_CHUNK, and the sweep stops at
-    the first chunk that holds a hit.  Each round applies the forcing rule
-    vertex by vertex to every live row.  A row leaves once a round leaves
-    it unchanged (its closure is reached) or full, and once a hit is known
-    every later row leaves too, so the chunk ends with its least hit.  A
-    vertex that has forced has no uncolored neighbor left, so it needs no
-    flag to keep it from forcing twice.
+    Each round applies the forcing rule vertex by vertex to every live
+    row, in chunks of _SWEEP_CHUNK masks.  A vertex that has forced has no
+    uncolored neighbor left, so it needs no flag to keep it from forcing
+    twice.
     """
-    full, one, zero = np.uint32((1 << n) - 1), np.uint32(1), np.uint32(0)
+    one, zero = np.uint32(1), np.uint32(0)
     nb = [np.uint32(x) for x in nbrs]
-    for lo in range(0, masks.size, _SWEEP_CHUNK):
-        start = masks[lo : lo + _SWEEP_CHUNK]
-        colored = start.copy()
-        index = np.arange(start.size)
-        best = None
-        while index.size:
-            before = colored.copy()
-            for v in range(n):
-                unc = nb[v] & ~colored
-                # unc == 0 passes this test too, and then adds nothing.
-                single = (unc & (unc - one)) == zero
-                single &= (start >> np.uint32(v)) & one != zero
-                colored |= unc * single
-            done = colored == full
-            if done.any():
-                hit = int(index[np.argmax(done)])
-                best = hit if best is None else min(best, hit)
-            keep = (colored != before) & ~done
-            if best is not None:
-                keep &= index < best
-            if not keep.all():
-                start, colored, index = start[keep], colored[keep], index[keep]
-        if best is not None:
-            return lo + best
-    return None
+
+    def force_round(start: np.ndarray, colored: np.ndarray) -> None:
+        for v in range(n):
+            unc = nb[v] & ~colored
+            # unc == 0 passes this test too, and then adds nothing.
+            single = (unc & (unc - one)) == zero
+            single &= (start >> np.uint32(v)) & one != zero
+            colored |= unc * single
+
+    chunks = (
+        (part, part.copy())
+        for part in (masks[lo : lo + _SWEEP_CHUNK] for lo in range(0, masks.size, _SWEEP_CHUNK))
+    )
+    hit = _first_hit(chunks, np.uint32((1 << n) - 1), force_round)
+    return None if hit is None else hit[0]
 
 
 def _min_forcing_set(nbrs: list[int], n: int, lower: int) -> tuple[int, int]:
@@ -171,7 +216,11 @@ def czf_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     """Minimum size of a successful forcing set, by exhaustive search.
 
     Works componentwise; within a component with an edge the search starts
-    at the ceil(n/2) lower bound.  Refuses graphs above the practicality
+    at max(ceil(n/2), delta), delta the component's minimum degree.  A
+    forcing set of size k colors at most 2k vertices, and the first force
+    needs an initially colored vertex with all but one of its neighbors
+    colored, so at least deg v vertices start colored (with no force at
+    all, every vertex does).  Refuses graphs above the practicality
     ceiling unless force is given, and components over 32 vertices, whose
     subsets do not fit the uint32 masks, even then.
     """
@@ -194,7 +243,7 @@ def czf_exact(g: Graph, *, force: bool = False) -> ParameterResult:
         sub, relabel = induced_subgraph(g, comp)
         back = {new: old for old, new in relabel.items()}
         nbrs = adjacency_masks(sub)
-        lower = (sub.n + 1) // 2 if sub.m else 1
+        lower = max((sub.n + 1) // 2, min(x.bit_count() for x in nbrs))
         size, mask = _min_forcing_set(nbrs, sub.n, lower)
         total += size
         witness.extend(back[v] for v in range(sub.n) if mask >> v & 1)
@@ -291,33 +340,153 @@ def _deduction_closure(nbrs: list[int], counts: dict[int, int]) -> int:
     return protected
 
 
-def d_exact(g: Graph) -> ParameterResult:
+def _layout_table(m: int, t: int, tables: dict) -> np.ndarray:
+    """S(m, t): every t-searcher layout on m vertices as uint8 count rows,
+    in combinations_with_replacement order, memoised in tables."""
+    rows = tables.get((m, t))
+    if rows is None:
+        if m == 1 or t == 0:
+            rows = np.zeros((1, m), dtype=np.uint8)
+            rows[0, 0] = t
+        else:
+            first = _layout_table(m, t - 1, tables)
+            rest = _layout_table(m - 1, t, tables)
+            rows = np.zeros((len(first) + len(rest), m), dtype=np.uint8)
+            rows[: len(first)] = first
+            rows[: len(first), 0] += 1
+            rows[len(first) :, 1:] = rest
+        tables[(m, t)] = rows
+    return rows
+
+
+def _layout_parts(n: int, j: int, t: int, prefix: np.ndarray, size: int, tables: dict):
+    """prefix plus each t-searcher layout on {j, ..., n-1}, in parts of at
+    most size rows (see _layout_chunks)."""
+    count = comb(n - j + t - 1, t)
+    if count <= size:
+        rows = np.tile(prefix, (count, 1))
+        rows[:, j:] += _layout_table(n - j, t, tables)
+        yield rows
+    else:
+        grown = prefix.copy()
+        grown[j] += 1
+        yield from _layout_parts(n, j, t - 1, grown, size, tables)
+        yield from _layout_parts(n, j + 1, t, prefix, size, tables)
+
+
+def _layout_chunks(n: int, total: int, size: int):
+    """Every layout of total searchers on n vertices, as uint8 count rows.
+
+    Rows come in itertools.combinations_with_replacement order.  M[j][t],
+    the t-searcher layouts on {j, ..., n-1} in that order, is e_j added to
+    M[j][t-1] followed by M[j+1][t].  The stream splits M[0][total] by
+    that rule until a part has at most size rows; a part is then its
+    prefix row plus the table S(n-j, t), built by the same rule and kept
+    only for this stream.  Parts are joined into chunks of at least size
+    rows, and the target doubles per chunk up to 16 * size, so an early
+    hit costs a small chunk and a long search sweeps large ones.
+    """
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    pending: list[np.ndarray] = []
+    count = 0
+    target = size
+    for rows in _layout_parts(n, 0, total, np.zeros(n, dtype=np.uint8), size, tables):
+        pending.append(rows)
+        count += len(rows)
+        if count >= target:
+            yield np.concatenate(pending)
+            pending, count = [], 0
+            target = min(2 * target, 16 * size)
+    if pending:
+        yield np.concatenate(pending)
+
+
+@lru_cache(maxsize=1)
+def _fire_need() -> np.ndarray:
+    """Searchers a vertex needs to fire, indexed by its unprotected
+    neighbors as a 16-bit mask: their number, or 255, more than any
+    count, when there are none and the vertex cannot fire."""
+    x = np.arange(1 << 16, dtype=np.uint32)
+    need = np.zeros(1 << 16, dtype=np.uint8)
+    for b in range(16):
+        need += ((x >> b) & 1).astype(np.uint8)
+    need[0] = 255
+    return need
+
+
+def _first_layout(nbrs: list[int], n: int, total: int) -> np.ndarray | None:
+    """Count row of the first total-searcher layout that protects everything.
+
+    Each round applies the firing rule vertex by vertex to every live row:
+    v fires when 1 <= |N(v) - P| <= c_v, and then P |= N(v).  A vertex
+    that has fired has no unprotected neighbor left, so it fires once.
+    Masks are 16-bit, so n <= 16.
+    """
+    need = _fire_need()
+    nb = [np.uint16(x) for x in nbrs]
+    bits = (1 << np.arange(n)).astype(np.uint16)
+
+    def fire_round(counts: np.ndarray, protected: np.ndarray) -> None:
+        for v in range(n):
+            unc = nb[v] & ~protected
+            protected |= unc * (need.take(unc) <= counts[:, v])
+
+    # The support of each layout is protected from the start.
+    chunks = ((counts, (counts != 0) @ bits) for counts in _layout_chunks(n, total, _LAYOUT_CHUNK))
+    hit = _first_hit(chunks, np.uint16((1 << n) - 1), fire_round)
+    return None if hit is None else hit[1]
+
+
+def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     """Minimum total searchers over all layouts, including repeats.
 
     Enumerates layouts by ascending total, so the result does not assume
     that one searcher per vertex suffices; that fact comes out of the
-    equivalence checks instead.  Totals start at ceil(n/2): a vertex that
-    fires sends one searcher per newly protected neighbor, so t searchers
-    protect at most |support| + t <= 2t vertices.  Each layout is played
-    with a bitset closure of the firing rule, and the layout found is
-    replayed once through run_deduction.
+    equivalence checks instead.  Totals start at max(ceil(n/2), delta),
+    delta the minimum degree.  A vertex that fires sends one searcher per
+    newly protected neighbor, so t searchers protect at most
+    |support| + t <= 2t vertices.  If the first vertex v to fire holds c
+    searchers, then c >= |N(v) - P|, so the total is at least
+    c + |N(v) & P| >= deg v; with no firing every vertex holds a searcher.
+    A total with fewer than _LAYOUT_CUTOFF layouts is played layout by
+    layout with a bitset closure of the firing rule; a larger one (for
+    n <= 16) goes to _first_layout, which sweeps its layouts as numpy
+    count rows through the shared driver _first_hit.  Either way the first success in
+    combinations_with_replacement order wins, and it is replayed once
+    through run_deduction.  Refuses graphs above D_EXACT_CEILING unless
+    force is given.
     """
+    if g.n > D_EXACT_CEILING and not force:
+        raise ValueError(
+            f"exhaustive deduction search refused for n={g.n} > {D_EXACT_CEILING}; "
+            "pass force=True to insist"
+        )
     if g.n == 0:
         return ParameterResult(0, Layout({}), "exact")
     nbrs = adjacency_masks(g)
     full = (1 << g.n) - 1
-    for total in range(max(1, (g.n + 1) // 2), g.n + 1):
-        for spots in itertools.combinations_with_replacement(range(g.n), total):
-            counts: dict[int, int] = {}
-            for v in spots:
-                counts[v] = counts.get(v, 0) + 1
-            if _deduction_closure(nbrs, counts) == full:
-                layout = Layout(counts)
-                if len(run_deduction(g, layout).protected) != g.n:
-                    raise RuntimeError(
-                        f"deduction closure and run_deduction disagree on {counts}; this is a bug"
-                    )
-                return ParameterResult(total, layout, "exact")
+    lower = max(1, (g.n + 1) // 2, min(x.bit_count() for x in nbrs))
+    for total in range(lower, g.n + 1):
+        found = None
+        if g.n <= 16 and comb(g.n + total - 1, total) >= _LAYOUT_CUTOFF:
+            row = _first_layout(nbrs, g.n, total)
+            if row is not None:
+                found = {v: int(c) for v, c in enumerate(row) if c}
+        else:
+            for spots in itertools.combinations_with_replacement(range(g.n), total):
+                counts: dict[int, int] = {}
+                for v in spots:
+                    counts[v] = counts.get(v, 0) + 1
+                if _deduction_closure(nbrs, counts) == full:
+                    found = counts
+                    break
+        if found is not None:
+            layout = Layout(found)
+            if len(run_deduction(g, layout).protected) != g.n:
+                raise RuntimeError(
+                    f"deduction closure and run_deduction disagree on {found}; this is a bug"
+                )
+            return ParameterResult(total, layout, "exact")
     raise AssertionError("placing a searcher on every vertex always succeeds")
 
 
@@ -326,22 +495,32 @@ def d_exact(g: Graph) -> ParameterResult:
 # ---------------------------------------------------------------------------
 
 
-def cfms_exact(g: Graph, preoccupied=frozenset()) -> ParameterResult:
+def cfms_exact(g: Graph, preoccupied=frozenset(), *, force: bool = False) -> ParameterResult:
     """Minimum searchers whose placements extend to a clearing strategy.
 
     A candidate placement set is completed greedily with slides and
     accepted when all edges clear and every vertex was occupied at some
     point (a searcher must visit even an edgeless vertex).  Pre-occupied
     vertices contribute free searchers and are excluded from placement.
-    The search starts at ceil(n/2) - |pre| placements: a searcher slides
-    at most once, so it occupies at most two vertices, and every vertex
-    must be occupied.  With no pre-occupation the value is cross-checked
-    against the deduction oracle and a mismatch raises RuntimeError.
+    The search starts at max(ceil(n/2), delta) - |pre| placements, delta
+    the minimum degree: a searcher slides at most once, so it occupies at
+    most two vertices, and every vertex must be occupied; at the first
+    slide from u, u and every other neighbor of u are occupied, and with
+    no slide at all every vertex holds a searcher.  With no pre-occupation
+    the value is cross-checked against the deduction oracle and a
+    mismatch raises RuntimeError.  Refuses graphs above CFMS_EXACT_CEILING
+    unless force is given.
     """
+    if g.n > CFMS_EXACT_CEILING and not force:
+        raise ValueError(
+            f"exhaustive sliding search refused for n={g.n} > {CFMS_EXACT_CEILING}; "
+            "pass force=True to insist"
+        )
     pre = frozenset(preoccupied)
     free = sorted(set(range(g.n)) - pre)
+    floor = max((g.n + 1) // 2, min(map(len, g.adjacency()), default=0))
     found: ParameterResult | None = None
-    for s in range(max(0, (g.n + 1) // 2 - len(pre)), len(free) + 1):
+    for s in range(max(0, floor - len(pre)), len(free) + 1):
         for combo in itertools.combinations(free, s):
             strategy = complete_with_slides(g, combo, preoccupied=pre)
             state = cfms_run(g, strategy, preoccupied=pre)
@@ -353,7 +532,7 @@ def cfms_exact(g: Graph, preoccupied=frozenset()) -> ParameterResult:
     if found is None:
         raise AssertionError("placing searchers everywhere always clears the graph")
     if not pre:
-        dd = d_exact(g)
+        dd = d_exact(g, force=force)
         if dd.value != found.value:
             raise RuntimeError(
                 f"oracle divergence: sliding search gives {found.value}, "

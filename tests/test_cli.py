@@ -8,7 +8,7 @@ import pytest
 
 from onemove import cli, engines, families
 from onemove.engines import Strategy, cfms_run
-from onemove.exact import czf_exact
+from onemove.exact import CFMS_EXACT_CEILING, D_EXACT_CEILING, czf_exact
 from onemove.graphs import Graph, parse_edge_list
 from onemove.solver import solve
 
@@ -221,9 +221,27 @@ class TestVerify:
         assert code == 0
         assert report["oracle"]["name"] == "cfms_exact"
 
+    def test_oracle_ceilings_refuse(self, capsys, tmp_path):
+        n = D_EXACT_CEILING + 1
+        pairs = [f"{u} {v}" for u in range(n) for v in range(u + 1, n)]
+        path = write(tmp_path, "k.el", "\n".join([f"{n} {len(pairs)}", *pairs]) + "\n")
+        code, out, err = run(capsys, "verify", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert "refused" in err and "d_exact" in err
+        code, out, _ = run(capsys, "verify", "--input", path, "--force")
+        assert code == 0
+        assert json.loads(out)["oracle"] == {"name": "d_exact", "value": n - 1}
+        n = CFMS_EXACT_CEILING + 1
+        ring = [f"{i} {(i + 1) % n}" for i in range(n)]
+        path = write(tmp_path, "c.el", "\n".join([f"{n} {n}", *ring, "preoccupied 0"]) + "\n")
+        code, _, err = run(capsys, "verify", "--input", path)
+        assert code == 2
+        assert "refused" in err and "cfms_exact" in err
+
     def test_disagreement_exits_three(self, capsys, tmp_path, monkeypatch):
         path = write(tmp_path, "worked.el", WORKED)
-        monkeypatch.setattr(cli, "d_exact", lambda g: SimpleNamespace(value=99))
+        monkeypatch.setattr(cli, "d_exact", lambda g, force=False: SimpleNamespace(value=99))
         code, out, err = run(capsys, "verify", "--input", path)
         assert code == 3
         assert json.loads(out)["agree"] is False

@@ -29,7 +29,15 @@ from onemove.exact import (
     validate_uniqueness_witness,
     vertex_cover_decide,
 )
-from onemove.graphs import FamilySpec, Graph, adjacency_masks, generate, parse_edge_list
+from onemove.graphs import (
+    FamilySpec,
+    Graph,
+    adjacency_masks,
+    connected_components,
+    generate,
+    induced_subgraph,
+    parse_edge_list,
+)
 
 WORKED = """7 11
 0 1
@@ -225,6 +233,39 @@ class TestCeilings:
         with pytest.raises(ValueError, match="force=True"):
             mu_exact(g)
 
+    def test_d_and_cfms_refuse_before_any_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search started before the refusal")
+
+        for name in ("adjacency_masks", "complete_with_slides", "_layout_chunks"):
+            monkeypatch.setattr(exact, name, no_search)
+        g = generate(FamilySpec("complete", exact.D_EXACT_CEILING + 1))
+        with pytest.raises(ValueError, match="refused"):
+            d_exact(g)
+        g = generate(FamilySpec("complete", exact.CFMS_EXACT_CEILING + 1))
+        with pytest.raises(ValueError, match="refused"):
+            cfms_exact(g)
+        with pytest.raises(ValueError, match="refused"):
+            cfms_exact(g, frozenset({0}))
+
+    def test_d_and_cfms_forced_past_ceiling(self):
+        # The minimum-degree floor starts K_n's searches at n - 1.
+        g = generate(FamilySpec("complete", exact.D_EXACT_CEILING + 2))
+        assert d_exact(g, force=True).value == g.n - 1
+        assert cfms_exact(g, force=True).value == g.n - 1
+
+    @pytest.mark.parametrize("oracle", ["d_exact", "cfms_exact"])
+    def test_budget_at_ceiling(self, oracle):
+        # A star with its center last is the slowest deduction search
+        # measured at n = 13: every total from 7 to 11 is swept in full,
+        # and the first hit of total 12 is far into the enumeration.
+        n = exact.D_EXACT_CEILING
+        g = Graph(n, frozenset((v, n - 1) for v in range(n - 1)))
+        start = time.perf_counter()
+        res = {"d_exact": d_exact, "cfms_exact": cfms_exact}[oracle](g)
+        assert time.perf_counter() - start < 2.0
+        assert res.value == n - 1
+
 
 class TestVectorPath:
     def test_sweep_matches_scalar(self, monkeypatch):
@@ -256,6 +297,34 @@ class TestVectorPath:
             monkeypatch.setattr(exact, "_SWEEP_CHUNK", chunk)
             assert exact._first_full(nbrs, 4, masks) == 1
         assert exact._first_full(nbrs, 4, exact._combo_masks(4, 1)) is None
+
+
+    def test_layout_rows_in_combinations_with_replacement_order(self):
+        for n in range(1, 11):
+            for t in range(9):
+                expected = []
+                for spots in itertools.combinations_with_replacement(range(n), t):
+                    row = [0] * n
+                    for v in spots:
+                        row[v] += 1
+                    expected.append(row)
+                for size in (1, 7, exact._LAYOUT_CHUNK):
+                    chunks = list(exact._layout_chunks(n, t, size))
+                    assert all(c.dtype == np.uint8 for c in chunks)
+                    assert [r for c in chunks for r in c.tolist()] == expected, (n, t, size)
+
+    def test_layout_sweep_returns_least_hit(self, monkeypatch):
+        # The path 3-0-2-1 with two searchers: {0, 1} protects everything
+        # only in a second round (1 fires, then 0), while the later {0, 2}
+        # does in the first.  The sweep must still return {0, 1}.
+        g = Graph(4, frozenset({(0, 2), (0, 3), (1, 2)}))
+        nbrs = adjacency_masks(g)
+        monkeypatch.setattr(exact, "_LAYOUT_CUTOFF", 1)
+        for chunk in (1, 2, 3, 1 << 9):
+            monkeypatch.setattr(exact, "_LAYOUT_CHUNK", chunk)
+            assert exact._first_layout(nbrs, 4, 2).tolist() == [1, 1, 0, 0]
+            assert d_exact(g).witness == Layout({0: 1, 1: 1})
+        assert exact._first_layout(nbrs, 4, 1) is None
 
 
 class TestValueTable:
@@ -475,6 +544,50 @@ class TestForcingSearch:
         assert czf_run(g, res.witness).succeeded(g)
         assert elapsed < 2.0
         assert peak < 48 * 2**20
+
+
+class TestDeductionSearch:
+    # TestAgainstReferences.test_d_matches_game_per_layout is the default case.
+    @pytest.mark.parametrize(
+        "cutoff, chunk",
+        [(1, exact._LAYOUT_CHUNK), (1, 8)],
+        ids=["all-numpy", "all-numpy-small-chunks"],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(inst=small_graphs())
+    def test_matches_game_per_layout(self, cutoff, chunk, inst):
+        g, _ = inst
+        with mock.patch.object(exact, "_LAYOUT_CUTOFF", cutoff), mock.patch.object(
+            exact, "_LAYOUT_CHUNK", chunk
+        ):
+            assert d_exact(g) == reference_d(g)
+
+
+class TestMinDegreeFloor:
+    @settings(max_examples=100, deadline=None)
+    @given(g=forcing_graphs())
+    def test_czf_matches_search_from_one(self, g):
+        # reference_min_forcing_set tries every size from 1 on each component.
+        size, witness = 0, []
+        for comp in connected_components(g):
+            sub, relabel = induced_subgraph(g, comp)
+            back = {new: old for old, new in relabel.items()}
+            k, mask = reference_min_forcing_set(adjacency_masks(sub), sub.n, 1)
+            size += k
+            witness.extend(back[v] for v in range(sub.n) if mask >> v & 1)
+        assert czf_exact(g) == ParameterResult(size, sorted(witness), "exact")
+
+    def test_searches_start_at_min_degree(self, count_calls, monkeypatch):
+        # K6 has ceil(6/2) = 3 but minimum degree 5.
+        g = generate(FamilySpec("complete", 6))
+        monkeypatch.setattr(exact, "_LAYOUT_CUTOFF", 10**9)
+        closures = count_calls(exact._czf_closure_mask)
+        games = count_calls(exact._deduction_closure)
+        completions = count_calls(complete_with_slides)
+        assert czf_exact(g).value == d_exact(g).value == cfms_exact(g).value == 5
+        assert min(bin(args[1]).count("1") for args in closures) == 5
+        assert min(sum(args[1].values()) for args in games) == 5
+        assert min(len(args[1]) for args in completions) == 5
 
 
 class TestOracleCost:
