@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .cactus import split_preoccupied
 from .constructions import (
@@ -271,6 +270,14 @@ def _cmd_reduce(args) -> int:
     payload["edge_list"] = text
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported when called: only
+    probe --jobs starts a pool, so no other command pays for the import."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _probe_one(task):

@@ -8,12 +8,16 @@ searches orderings of matchings without playing any process.
 
 The forcing and deduction searches play each size class of candidates
 with a scalar bitset closure while the class is small.  From a measured
-cutoff up (_VECTOR_CUTOFF subsets, _LAYOUT_CUTOFF layouts), they build
-the class as numpy rows and hand them, chunk by chunk, to one sweep
-driver, _first_hit, which finds the first row in enumeration order whose
-process reaches every vertex.  Each oracle passes the driver its own
+cutoff up (_VECTOR_CUTOFF subsets, _LAYOUT_CUTOFF layouts), they stream
+the class as numpy rows, built chunk by chunk, to one sweep driver,
+_first_hit, which finds the first row in enumeration order whose process
+reaches every vertex.  Each oracle passes the driver its own
 firing step, so each still plays its own process.  No oracle keeps a
 result between calls; the only table kept is a 16-bit popcount.
+
+numpy is imported inside the functions that use it, so only these vector
+paths and czf_value_table load it; the scalar loops, and every solver
+outside this module, run without it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-
-import numpy as np
 
 from .deduction import Layout, run_deduction
 from .engines import cfms_run, complete_with_slides
@@ -47,7 +49,7 @@ MU_EXACT_CEILING = 16
 # against 0.23 ms) and the sweep from 210 up (0.24 against 0.33 ms).
 _VECTOR_CUTOFF = 768
 _LAYOUT_CUTOFF = 192
-# Masks per numpy forcing-sweep chunk, and layout rows in the first
+# Most masks per numpy forcing-sweep chunk, and layout rows in the first
 # deduction-sweep chunk: the sweep stops after the first chunk with a hit.
 _SWEEP_CHUNK = 1 << 15
 _LAYOUT_CHUNK = 1 << 9
@@ -63,13 +65,13 @@ def _first_hit(chunks, full, play_round):
     a round leaves it unchanged (its closure is reached) or full, and once
     a hit is known every later row leaves too, so the chunk ends with its
     least hit and the sweep stops at the first chunk that holds one.
-    Returns (position in the whole stream, start row), or None when no
-    candidate succeeds.
+    Returns the start row of that least hit, or None when no candidate
+    succeeds.
     """
-    offset = 0
+    import numpy as np
+
     for start, state in chunks:
-        size = len(state)
-        index = np.arange(size)
+        index = np.arange(len(state))
         best = found = None
         while index.size:
             before = state.copy()
@@ -86,8 +88,7 @@ def _first_hit(chunks, full, play_round):
             if not keep.all():
                 start, state, index = start[keep], state[keep], index[keep]
         if found is not None:
-            return offset + int(best), found
-        offset += size
+            return found
     return None
 
 
@@ -143,37 +144,73 @@ def _czf_closure_mask(nbrs: list[int], start: int) -> int:
     return colored
 
 
-def _combo_masks(n: int, k: int) -> np.ndarray:
-    """Every k-subset of range(n) as a bitmask, in itertools.combinations order.
+def _combo_masks(n: int, k: int, low: int = 0) -> np.ndarray:
+    """Every k-subset of {low, ..., n-1} as a bitmask, in
+    itertools.combinations order.
 
     T[j][r], the r-subsets of {j, ..., n-1} in that order, is the subsets
     holding j (j joined to T[j+1][r-1]) followed by T[j+1][r].  Rows with
-    r < k - j cannot grow to size k by j = 0, so they are never built.
+    r < k - (j - low) cannot grow to size k by j = low, so they are never
+    built.
     """
+    import numpy as np
+
     empty = np.zeros(0, dtype=np.uint32)
     rows = {0: np.zeros(1, dtype=np.uint32)}
-    for j in range(n - 1, -1, -1):
+    for j in range(n - 1, low - 1, -1):
         bit = np.uint32(1 << j)
         rows = {
             r: np.concatenate((rows.get(r - 1, empty) | bit, rows.get(r, empty)))
-            for r in range(max(0, k - j), min(k, n - j) + 1)
+            for r in range(max(0, k - (j - low)), min(k, n - j) + 1)
         }
     return rows[k]
 
 
+def _mask_parts(n: int, j: int, k: int, prefix: int, size: int, tables: dict):
+    """prefix plus each k-subset of {j, ..., n-1}, as uint32 bitmasks, in
+    parts of at most size masks (see _mask_chunks)."""
+    import numpy as np
+
+    if comb(n - j, k) <= size:
+        suffix = tables.get((j, k))
+        if suffix is None:
+            suffix = tables[(j, k)] = _combo_masks(n, k, j)
+        yield suffix | np.uint32(prefix) if prefix else suffix
+    else:
+        yield from _mask_parts(n, j + 1, k - 1, prefix | 1 << j, size, tables)
+        yield from _mask_parts(n, j + 1, k, prefix, size, tables)
+
+
+def _mask_chunks(n: int, k: int, size: int):
+    """Every k-subset of range(n) as a uint32 bitmask, in
+    itertools.combinations order, in parts of at most size masks.
+
+    The class splits on its leading element by the rule in _combo_masks
+    until a part has at most size subsets; a part is then the suffix class
+    _combo_masks(n, r, j) with the prefix ORed in.  Only one part and the
+    suffix classes, kept for this stream alone, are held: C(24, 12)
+    streams in 114 parts from 8 suffix classes, 0.7 MB in all.  A class
+    of at most size subsets is a single part, returned as built.
+    """
+    return _mask_parts(n, 0, k, 0, size, {})
+
+
 @lru_cache(maxsize=128)
 def _combo_masks_small(n: int, k: int) -> tuple[int, ...]:
-    return tuple(_combo_masks(n, k).tolist())
+    """The masks of _combo_masks as Python ints, built without numpy."""
+    return tuple(sum(1 << v for v in c) for c in itertools.combinations(range(n), k))
 
 
-def _first_full(nbrs: list[int], n: int, masks: np.ndarray) -> int | None:
-    """Index of the first mask whose forcing closure colors every vertex.
+def _first_full(nbrs: list[int], n: int, k: int) -> int | None:
+    """The first k-subset mask whose forcing closure colors every vertex.
 
-    Each round applies the forcing rule vertex by vertex to every live
-    row, in chunks of _SWEEP_CHUNK masks.  A vertex that has forced has no
-    uncolored neighbor left, so it needs no flag to keep it from forcing
-    twice.
+    The class streams from _mask_chunks in parts of at most _SWEEP_CHUNK
+    masks.  Each round applies the forcing rule vertex by vertex to every
+    live row.  A vertex that has forced has no uncolored neighbor left, so
+    it needs no flag to keep it from forcing twice.
     """
+    import numpy as np
+
     one, zero = np.uint32(1), np.uint32(0)
     nb = [np.uint32(x) for x in nbrs]
 
@@ -185,12 +222,9 @@ def _first_full(nbrs: list[int], n: int, masks: np.ndarray) -> int | None:
             single &= (start >> np.uint32(v)) & one != zero
             colored |= unc * single
 
-    chunks = (
-        (part, part.copy())
-        for part in (masks[lo : lo + _SWEEP_CHUNK] for lo in range(0, masks.size, _SWEEP_CHUNK))
-    )
+    chunks = ((part, part.copy()) for part in _mask_chunks(n, k, _SWEEP_CHUNK))
     hit = _first_hit(chunks, np.uint32((1 << n) - 1), force_round)
-    return None if hit is None else hit[0]
+    return None if hit is None else int(hit)
 
 
 def _min_forcing_set(nbrs: list[int], n: int, lower: int) -> tuple[int, int]:
@@ -201,10 +235,9 @@ def _min_forcing_set(nbrs: list[int], n: int, lower: int) -> tuple[int, int]:
     full = (1 << n) - 1
     for k in range(max(lower, 1), n + 1):
         if comb(n, k) >= _VECTOR_CUTOFF:
-            masks = _combo_masks(n, k)
-            hit = _first_full(nbrs, n, masks)
-            if hit is not None:
-                return k, int(masks[hit])
+            mask = _first_full(nbrs, n, k)
+            if mask is not None:
+                return k, mask
         else:
             for mask in _combo_masks_small(n, k):
                 if _czf_closure_mask(nbrs, mask) == full:
@@ -269,6 +302,8 @@ def czf_value_table(n: int) -> np.ndarray:
         raise ValueError("value table supported for 1 <= n <= 7 only")
     if n in _TABLE_CACHE:
         return _TABLE_CACHE[n]
+    import numpy as np
+
     bits = pair_bit_index(n)
     count = 1 << len(bits)
     masks = np.arange(count, dtype=np.uint32)
@@ -343,6 +378,8 @@ def _deduction_closure(nbrs: list[int], counts: dict[int, int]) -> int:
 def _layout_table(m: int, t: int, tables: dict) -> np.ndarray:
     """S(m, t): every t-searcher layout on m vertices as uint8 count rows,
     in combinations_with_replacement order, memoised in tables."""
+    import numpy as np
+
     rows = tables.get((m, t))
     if rows is None:
         if m == 1 or t == 0:
@@ -362,6 +399,8 @@ def _layout_table(m: int, t: int, tables: dict) -> np.ndarray:
 def _layout_parts(n: int, j: int, t: int, prefix: np.ndarray, size: int, tables: dict):
     """prefix plus each t-searcher layout on {j, ..., n-1}, in parts of at
     most size rows (see _layout_chunks)."""
+    import numpy as np
+
     count = comb(n - j + t - 1, t)
     if count <= size:
         rows = np.tile(prefix, (count, 1))
@@ -386,6 +425,8 @@ def _layout_chunks(n: int, total: int, size: int):
     rows, and the target doubles per chunk up to 16 * size, so an early
     hit costs a small chunk and a long search sweeps large ones.
     """
+    import numpy as np
+
     tables: dict[tuple[int, int], np.ndarray] = {}
     pending: list[np.ndarray] = []
     count = 0
@@ -406,6 +447,8 @@ def _fire_need() -> np.ndarray:
     """Searchers a vertex needs to fire, indexed by its unprotected
     neighbors as a 16-bit mask: their number, or 255, more than any
     count, when there are none and the vertex cannot fire."""
+    import numpy as np
+
     x = np.arange(1 << 16, dtype=np.uint32)
     need = np.zeros(1 << 16, dtype=np.uint8)
     for b in range(16):
@@ -422,6 +465,8 @@ def _first_layout(nbrs: list[int], n: int, total: int) -> np.ndarray | None:
     that has fired has no unprotected neighbor left, so it fires once.
     Masks are 16-bit, so n <= 16.
     """
+    import numpy as np
+
     need = _fire_need()
     nb = [np.uint16(x) for x in nbrs]
     bits = (1 << np.arange(n)).astype(np.uint16)
@@ -433,8 +478,7 @@ def _first_layout(nbrs: list[int], n: int, total: int) -> np.ndarray | None:
 
     # The support of each layout is protected from the start.
     chunks = ((counts, (counts != 0) @ bits) for counts in _layout_chunks(n, total, _LAYOUT_CHUNK))
-    hit = _first_hit(chunks, np.uint16((1 << n) - 1), fire_round)
-    return None if hit is None else hit[1]
+    return _first_hit(chunks, np.uint16((1 << n) - 1), fire_round)
 
 
 def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:

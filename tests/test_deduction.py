@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onemove.deduction import (
     FiringSequence,
@@ -166,6 +168,17 @@ class TestSuccess:
         assert not is_successful(g, Layout({}))
 
 
+@st.composite
+def larger_layouts(draw):
+    """A graph on 9 to 12 vertices and a layout of one to three searchers
+    on each vertex of a nonempty support."""
+    n = draw(st.integers(9, 12))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, p)
+    counts = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), min_size=1))
+    return g, Layout(counts)
+
+
 class TestOrderInvariance:
     def test_worked(self):
         assert check_order_invariance(worked_graph(), Layout.standard([0, 2, 3, 5]))
@@ -181,6 +194,13 @@ class TestOrderInvariance:
             support = rng.sample(range(g.n), rng.randint(1, g.n))
             counts = {v: rng.randint(1, 2) for v in support}
             assert check_order_invariance(g, Layout(counts), trials=3, seed=rng.randint(0, 999))
+
+    # test_random_layouts above and test_04 in test_acceptance stop at n = 8.
+    @settings(max_examples=200, deadline=None)
+    @given(inst=larger_layouts(), seed=st.integers(0, 10**6))
+    def test_random_layouts_up_to_twelve(self, inst, seed):
+        g, layout = inst
+        assert check_order_invariance(g, layout, trials=3, seed=seed)
 
 
 class TestTerminalSuccess:

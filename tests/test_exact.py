@@ -295,8 +295,17 @@ class TestVectorPath:
         assert int(np.flatnonzero(reference_closure_sweep(nbrs, 4, masks) == 0b1111)[0]) == 1
         for chunk in (1, 2, 3, 1 << 15):
             monkeypatch.setattr(exact, "_SWEEP_CHUNK", chunk)
-            assert exact._first_full(nbrs, 4, masks) == 1
-        assert exact._first_full(nbrs, 4, exact._combo_masks(4, 1)) is None
+            assert exact._first_full(nbrs, 4, 2) == masks[1] == 0b0101
+        assert exact._first_full(nbrs, 4, 1) is None
+
+    def test_mask_chunks_concatenate_to_class(self):
+        for n in range(15):
+            for k in range(n + 1):
+                expected = exact._combo_masks(n, k).tolist()
+                for size in (1, 7, exact._SWEEP_CHUNK):
+                    chunks = list(exact._mask_chunks(n, k, size))
+                    assert all(c.dtype == np.uint32 and 1 <= c.size <= size for c in chunks)
+                    assert [m for c in chunks for m in c.tolist()] == expected, (n, k, size)
 
 
     def test_layout_rows_in_combinations_with_replacement_order(self):
@@ -469,9 +478,9 @@ def reference_min_forcing_set(nbrs, n, lower):
 
 
 @st.composite
-def forcing_graphs(draw):
-    """A graph on up to 16 vertices, sparse or dense."""
-    n = draw(st.integers(1, 16))
+def forcing_graphs(draw, sizes=st.integers(1, 16)):
+    """A graph whose vertex count sizes draws (1 to 16 by default), sparse or dense."""
+    n = draw(sizes)
     p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_graph(random.Random(seed), n, p)
@@ -530,8 +539,11 @@ class TestForcingSearch:
 
     def test_ceiling_budget(self):
         # G(24, 0.3) has value 12 = ceil(24/2): one size class of C(24, 12)
-        # start sets, the largest the ceiling admits.
+        # start sets, the largest the ceiling admits.  The class streams in
+        # chunks, so memory stays far below the class's 10.8 MB of masks.
         g = random_graph(random.Random(3), 24, 0.3)
+        # exact imports numpy lazily.  This module imports it at the top,
+        # so numpy's own import (about 6.6 MB traced) is not counted here.
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -543,7 +555,25 @@ class TestForcingSearch:
         assert res.value == 12
         assert czf_run(g, res.witness).succeeded(g)
         assert elapsed < 2.0
-        assert peak < 48 * 2**20
+        assert peak < 8 * 2**20
+
+
+@st.composite
+def edited_graphs(draw):
+    """A graph on 8 to 12 vertices, and the same graph with one vertex pair
+    toggled between edge and non-edge."""
+    g = draw(forcing_graphs(st.integers(8, 12)))
+    u, v = sorted(draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True)))
+    return g, Graph(g.n, g.edges ^ {(u, v)})
+
+
+class TestEdgeEdits:
+    # test_06 in test_acceptance checks every labeled graph on n <= 6.
+    @settings(max_examples=200, deadline=None)
+    @given(inst=edited_graphs())
+    def test_one_edge_moves_czf_by_at_most_one(self, inst):
+        g, h = inst
+        assert abs(czf_exact(g).value - czf_exact(h).value) <= 1
 
 
 class TestDeductionSearch:

@@ -3,12 +3,16 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from onemove.families import pendent_dismantle
-from onemove.graphs import Graph
+from onemove.graphs import FamilySpec, Graph, generate, write_edge_list
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "onemove").glob("*.py"))
@@ -59,3 +63,59 @@ def test_all_names_exist(path):
     module = importlib.import_module("onemove" if path.stem == "__init__" else f"onemove.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == [], f"{path.name} exports missing names {missing}"
+
+
+# Run in a fresh interpreter: prints the heavy modules loaded after
+# importing the CLI and after each solve, in order, as JSON.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
+from onemove import cli
+seen = [("import", None, None, [m for m in HEAVY if m in sys.modules])]
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["solve", *argv])
+    method = json.loads(out.getvalue())["method"] if code == 0 else None
+    seen.append((name, code, method, [m for m in HEAVY if m in sys.modules]))
+print(json.dumps(seen))
+"""
+
+
+def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
+    # numpy serves only the exhaustive searches' vector sweeps and
+    # czf_value_table, and the process pool only probe --jobs.
+    k4_corona = [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(v, v + 4) for v in range(4)]
+    graphs = {
+        "tree": generate(FamilySpec("star", 9)),
+        "unicyclic": generate(FamilySpec("cycle", 7)),
+        "cactus": Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
+        "dismantle": Graph(8, k4_corona),
+        # Every size class of C8 is below the vector cutoff, so the
+        # exhaustive search stays scalar.
+        "exact-scalar": generate(FamilySpec("cycle", 8)),
+        # Its first size class, C(12, 6) = 924 start sets, reaches the cutoff.
+        "exact": generate(FamilySpec("cycle", 12)),
+    }
+    runs = []
+    for name, g in graphs.items():
+        path = tmp_path / f"{name}.el"
+        path.write_text(write_edge_list(g))
+        argv = ["--input", str(path)]
+        runs.append((name, argv + (["--method", "exact"] if name.startswith("exact") else [])))
+    pythonpath = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    seen = json.loads(done.stdout)
+    assert seen == [
+        ["import", None, None, []],
+        ["tree", 0, "tree", []],
+        ["unicyclic", 0, "unicyclic", []],
+        ["cactus", 0, "cactus", []],
+        ["dismantle", 0, "dismantle", []],
+        ["exact-scalar", 0, "exact", []],
+        # The check above is not vacuous: the vector sweep does load numpy.
+        ["exact", 0, "exact", ["numpy"]],
+    ]
