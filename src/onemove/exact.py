@@ -6,18 +6,24 @@ process oracles simulate their own process definitions and share no
 shortcuts beyond the graph representation, and the matching oracle
 searches orderings of matchings without playing any process.
 
-The forcing and deduction searches play each size class of candidates
-with a scalar bitset closure while the class is small.  From a measured
-cutoff up (_VECTOR_CUTOFF subsets, _LAYOUT_CUTOFF layouts), they stream
-the class as numpy rows, built chunk by chunk, to one sweep driver,
-_first_hit, which finds the first row in enumeration order whose process
-reaches every vertex.  Each oracle passes the driver its own
-firing step, so each still plays its own process.  No oracle keeps a
-result between calls; the only table kept is a 16-bit popcount.
+The forcing search plays each size class of start sets with a scalar
+bitset closure while the class is small; from _VECTOR_CUTOFF subsets up
+it streams the class as numpy rows, built chunk by chunk, to one sweep
+driver, _first_hit, which finds the first row in enumeration order whose
+process reaches every vertex.  The deduction search sends every total to
+that driver as layout count rows; its masks are 16-bit, so it takes at
+most 16 vertices.  Each oracle passes the driver its own firing step, so
+each still plays its own process.
 
-numpy is imported inside the functions that use it, so only these vector
-paths and czf_value_table load it; the scalar loops, and every solver
-outside this module, run without it.
+No oracle keeps a result between calls.  Three tables outlive a call:
+_fire_need, the 16-bit popcount the deduction sweep reads;
+_combo_masks_small's cache of up to 128 small subset classes; and
+czf_value_table's _TABLE_CACHE of one value table per n <= 7.  Each
+depends only on its arguments, never on a graph searched before.
+
+numpy is imported inside the functions that use it, so only the vector
+sweeps and czf_value_table load it; the scalar forcing loop, and every
+solver outside this module, run without it.
 """
 
 from __future__ import annotations
@@ -40,19 +46,30 @@ D_EXACT_CEILING = 13
 CFMS_EXACT_CEILING = D_EXACT_CEILING
 MU_EXACT_CEILING = 16
 
-# Below these class sizes the scalar loop beats the numpy setup cost.
-# Per size class of random graphs with n = 10..13, the scalar subset loop
-# was faster up to 715 subsets (0.26 against 0.53 ms) and the numpy sweep
-# from 792 subsets up (0.57 against 0.71 ms); the oracles' n <= 11 graphs
-# (at most 462 subsets) stay scalar.  Layouts cost the scalar loop more:
-# on G(n, 0.5) with n = 6..10 it was faster up to 120 layouts (0.17
-# against 0.23 ms) and the sweep from 210 up (0.24 against 0.33 ms).
+# Below this class size the scalar forcing loop beats the numpy setup
+# cost.  Per size class of random graphs with n = 10..13, the scalar
+# subset loop was faster up to 715 subsets (0.26 against 0.53 ms) and the
+# numpy sweep from 792 subsets up (0.57 against 0.71 ms); the oracles'
+# n <= 11 graphs (at most 462 subsets) stay scalar.
 _VECTOR_CUTOFF = 768
-_LAYOUT_CUTOFF = 192
 # Most masks per numpy forcing-sweep chunk, and layout rows in the first
 # deduction-sweep chunk: the sweep stops after the first chunk with a hit.
 _SWEEP_CHUNK = 1 << 15
 _LAYOUT_CHUNK = 1 << 9
+
+
+def _check_ceiling(
+    oracle: str, n: int, ceiling: int, force: bool, *, limit: int | None = None, part: str = "graph"
+) -> None:
+    """Refuse an n-vertex input (or component, as part says) past the
+    oracle's ceiling unless force is given, and past limit, the most
+    vertices the oracle's masks hold, even then."""
+    if limit is not None and n > limit:
+        raise ValueError(f"{oracle} refused for a {n}-vertex {part} > {limit}, the most its masks hold")
+    if n > ceiling and not force:
+        raise ValueError(
+            f"{oracle} refused for a {n}-vertex {part} > {ceiling}; pass force=True (--force) to insist"
+        )
 
 
 def _first_hit(chunks, full, play_round):
@@ -253,19 +270,14 @@ def czf_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     forcing set of size k colors at most 2k vertices, and the first force
     needs an initially colored vertex with all but one of its neighbors
     colored, so at least deg v vertices start colored (with no force at
-    all, every vertex does).  Refuses graphs above the practicality
-    ceiling unless force is given, and components over 32 vertices, whose
-    subsets do not fit the uint32 masks, even then.
+    all, every vertex does).  The ceiling counts the widest component:
+    one past it is refused before any component is searched unless force
+    is given, and one over 32 vertices, whose subsets do not fit the
+    uint32 masks, even then.
     """
-    if g.n > CZF_EXACT_CEILING and not force:
-        raise ValueError(
-            f"exhaustive forcing search refused for n={g.n} > {CZF_EXACT_CEILING}; "
-            "pass force=True to insist"
-        )
     components = connected_components(g)
     widest = max(map(len, components), default=0)
-    if widest > 32:
-        raise ValueError(f"exhaustive forcing search refused for a {widest}-vertex component > 32")
+    _check_ceiling("czf_exact", widest, CZF_EXACT_CEILING, force, limit=32, part="component")
     total = 0
     witness: list[int] = []
     for comp in components:
@@ -344,35 +356,6 @@ def czf_value_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Deduction number.
 # ---------------------------------------------------------------------------
-
-
-def _deduction_closure(nbrs: list[int], counts: dict[int, int]) -> int:
-    """Bitset protected set of a deduction game from the given layout.
-
-    A vertex v holding c searchers fires once, when 1 <= |N(v) - P| <= c,
-    and then P |= N(v).  Firing only grows P, which only makes the rule
-    easier to meet, so playing to a fixpoint gives the all-fireable game's
-    protected set.
-    """
-    protected = 0
-    for v in counts:
-        protected |= 1 << v
-    waiting = list(counts.items())
-    progress = True
-    while progress:
-        progress = False
-        still = []
-        for v, c in waiting:
-            unc = nbrs[v] & ~protected
-            if not unc:
-                continue
-            if unc.bit_count() <= c:
-                protected |= unc
-                progress = True
-            else:
-                still.append((v, c))
-        waiting = still
-    return protected
 
 
 def _layout_table(m: int, t: int, tables: dict) -> np.ndarray:
@@ -492,43 +475,25 @@ def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     |support| + t <= 2t vertices.  If the first vertex v to fire holds c
     searchers, then c >= |N(v) - P|, so the total is at least
     c + |N(v) & P| >= deg v; with no firing every vertex holds a searcher.
-    A total with fewer than _LAYOUT_CUTOFF layouts is played layout by
-    layout with a bitset closure of the firing rule; a larger one (for
-    n <= 16) goes to _first_layout, which sweeps its layouts as numpy
-    count rows through the shared driver _first_hit.  Either way the first success in
+    Each total goes to _first_layout, which sweeps its layouts as numpy
+    count rows through the shared driver _first_hit; the first success in
     combinations_with_replacement order wins, and it is replayed once
     through run_deduction.  Refuses graphs above D_EXACT_CEILING unless
-    force is given.
+    force is given, and graphs over 16 vertices, whose vertex sets do not
+    fit the sweep's 16-bit masks, even then.
     """
-    if g.n > D_EXACT_CEILING and not force:
-        raise ValueError(
-            f"exhaustive deduction search refused for n={g.n} > {D_EXACT_CEILING}; "
-            "pass force=True to insist"
-        )
+    _check_ceiling("d_exact", g.n, D_EXACT_CEILING, force, limit=16)
     if g.n == 0:
         return ParameterResult(0, Layout({}), "exact")
     nbrs = adjacency_masks(g)
-    full = (1 << g.n) - 1
     lower = max(1, (g.n + 1) // 2, min(x.bit_count() for x in nbrs))
     for total in range(lower, g.n + 1):
-        found = None
-        if g.n <= 16 and comb(g.n + total - 1, total) >= _LAYOUT_CUTOFF:
-            row = _first_layout(nbrs, g.n, total)
-            if row is not None:
-                found = {v: int(c) for v, c in enumerate(row) if c}
-        else:
-            for spots in itertools.combinations_with_replacement(range(g.n), total):
-                counts: dict[int, int] = {}
-                for v in spots:
-                    counts[v] = counts.get(v, 0) + 1
-                if _deduction_closure(nbrs, counts) == full:
-                    found = counts
-                    break
-        if found is not None:
-            layout = Layout(found)
+        row = _first_layout(nbrs, g.n, total)
+        if row is not None:
+            layout = Layout({v: int(c) for v, c in enumerate(row) if c})
             if len(run_deduction(g, layout).protected) != g.n:
                 raise RuntimeError(
-                    f"deduction closure and run_deduction disagree on {found}; this is a bug"
+                    f"deduction sweep and run_deduction disagree on {layout.counts}; this is a bug"
                 )
             return ParameterResult(total, layout, "exact")
     raise AssertionError("placing a searcher on every vertex always succeeds")
@@ -552,15 +517,13 @@ def cfms_exact(g: Graph, preoccupied=frozenset(), *, force: bool = False) -> Par
     slide from u, u and every other neighbor of u are occupied, and with
     no slide at all every vertex holds a searcher.  With no pre-occupation
     the value is cross-checked against the deduction oracle and a
-    mismatch raises RuntimeError.  Refuses graphs above CFMS_EXACT_CEILING
-    unless force is given.
+    mismatch raises RuntimeError; the cross-check runs first, so an input
+    the deduction oracle refuses is refused before any placement is tried.
+    Refuses graphs above CFMS_EXACT_CEILING unless force is given.
     """
-    if g.n > CFMS_EXACT_CEILING and not force:
-        raise ValueError(
-            f"exhaustive sliding search refused for n={g.n} > {CFMS_EXACT_CEILING}; "
-            "pass force=True to insist"
-        )
+    _check_ceiling("cfms_exact", g.n, CFMS_EXACT_CEILING, force)
     pre = frozenset(preoccupied)
+    dd = None if pre else d_exact(g, force=force)
     free = sorted(set(range(g.n)) - pre)
     floor = max((g.n + 1) // 2, min(map(len, g.adjacency()), default=0))
     found: ParameterResult | None = None
@@ -575,13 +538,11 @@ def cfms_exact(g: Graph, preoccupied=frozenset(), *, force: bool = False) -> Par
             break
     if found is None:
         raise AssertionError("placing searchers everywhere always clears the graph")
-    if not pre:
-        dd = d_exact(g, force=force)
-        if dd.value != found.value:
-            raise RuntimeError(
-                f"oracle divergence: sliding search gives {found.value}, "
-                f"deduction gives {dd.value}"
-            )
+    if dd is not None and dd.value != found.value:
+        raise RuntimeError(
+            f"oracle divergence: sliding search gives {found.value}, "
+            f"deduction gives {dd.value}"
+        )
     return found
 
 
@@ -682,11 +643,7 @@ def mu_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     longest such triangular sequence; its xs and ys are the witness sides,
     which are checked once before returning.
     """
-    if g.n > MU_EXACT_CEILING and not force:
-        raise ValueError(
-            f"matching search refused for n={g.n} > {MU_EXACT_CEILING}; "
-            "pass force=True to insist"
-        )
+    _check_ceiling("mu_exact", g.n, MU_EXACT_CEILING, force)
     nbrs = adjacency_masks(g)
     memo: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}
     value = _longest_triangular(nbrs, (1 << g.n) - 1, 0, 0, memo)

@@ -99,6 +99,15 @@ class TestSolve:
         assert code == 2
         assert "refused" in err
 
+    def test_exact_ceiling_is_per_component(self, capsys, tmp_path):
+        # Two disjoint K13: n = 26 is past the ceiling, each component is not.
+        pairs = [f"{u + s} {v + s}" for s in (0, 13) for u in range(13) for v in range(u + 1, 13)]
+        path = write(tmp_path, "two-k13.el", "\n".join([f"26 {len(pairs)}", *pairs]) + "\n")
+        code, out, _ = run(capsys, "solve", "--input", path)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["method"], report["value"]) == ("exact", 24)
+
     def test_forced_exact_refuses_past_mask_width(self, capsys, tmp_path):
         n = 33
         pairs = [f"{u} {v}" for u in range(n) for v in range(u + 1, n)]

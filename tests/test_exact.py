@@ -223,6 +223,14 @@ class TestCeilings:
         with pytest.raises(ValueError, match="refused"):
             czf_exact(g, force=True)
 
+    def test_czf_ceiling_is_per_component(self):
+        # Two disjoint K13: n = 26 is past the ceiling, each component is not.
+        k13 = [(u, v) for u in range(13) for v in range(u + 1, 13)]
+        g = Graph(26, frozenset(k13 + [(u + 13, v + 13) for u, v in k13]))
+        res = czf_exact(g)
+        assert res.value == 24
+        assert czf_run(g, res.witness).succeeded(g)
+
     def test_czf_forced_limit_is_per_component(self):
         # Two 17-vertex paths: n = 34, but each component fits a mask.
         g = Graph(34, frozenset((i, i + 1) for i in range(33) if i != 16))
@@ -247,6 +255,14 @@ class TestCeilings:
             cfms_exact(g)
         with pytest.raises(ValueError, match="refused"):
             cfms_exact(g, frozenset({0}))
+        # The deduction sweep's masks are 16-bit, so force does not lift
+        # that limit; the sliding search runs its deduction cross-check
+        # first, so it refuses before sliding.
+        g = generate(FamilySpec("path", 17))
+        with pytest.raises(ValueError, match="d_exact refused"):
+            d_exact(g, force=True)
+        with pytest.raises(ValueError, match="d_exact refused"):
+            cfms_exact(g, force=True)
 
     def test_d_and_cfms_forced_past_ceiling(self):
         # The minimum-degree floor starts K_n's searches at n - 1.
@@ -328,7 +344,6 @@ class TestVectorPath:
         # does in the first.  The sweep must still return {0, 1}.
         g = Graph(4, frozenset({(0, 2), (0, 3), (1, 2)}))
         nbrs = adjacency_masks(g)
-        monkeypatch.setattr(exact, "_LAYOUT_CUTOFF", 1)
         for chunk in (1, 2, 3, 1 << 9):
             monkeypatch.setattr(exact, "_LAYOUT_CHUNK", chunk)
             assert exact._first_layout(nbrs, 4, 2).tolist() == [1, 1, 0, 0]
@@ -577,19 +592,15 @@ class TestEdgeEdits:
 
 
 class TestDeductionSearch:
-    # TestAgainstReferences.test_d_matches_game_per_layout is the default case.
+    # Small graphs reach the smallest totals, down to a single layout;
+    # reference_d plays every layout in Python, so n stops at 7.
     @pytest.mark.parametrize(
-        "cutoff, chunk",
-        [(1, exact._LAYOUT_CHUNK), (1, 8)],
-        ids=["all-numpy", "all-numpy-small-chunks"],
+        "chunk", [exact._LAYOUT_CHUNK, 8], ids=["all-numpy", "all-numpy-small-chunks"]
     )
     @settings(max_examples=100, deadline=None)
-    @given(inst=small_graphs())
-    def test_matches_game_per_layout(self, cutoff, chunk, inst):
-        g, _ = inst
-        with mock.patch.object(exact, "_LAYOUT_CUTOFF", cutoff), mock.patch.object(
-            exact, "_LAYOUT_CHUNK", chunk
-        ):
+    @given(g=forcing_graphs(st.integers(1, 7)))
+    def test_matches_game_per_layout(self, chunk, g):
+        with mock.patch.object(exact, "_LAYOUT_CHUNK", chunk):
             assert d_exact(g) == reference_d(g)
 
 
@@ -607,16 +618,15 @@ class TestMinDegreeFloor:
             witness.extend(back[v] for v in range(sub.n) if mask >> v & 1)
         assert czf_exact(g) == ParameterResult(size, sorted(witness), "exact")
 
-    def test_searches_start_at_min_degree(self, count_calls, monkeypatch):
+    def test_searches_start_at_min_degree(self, count_calls):
         # K6 has ceil(6/2) = 3 but minimum degree 5.
         g = generate(FamilySpec("complete", 6))
-        monkeypatch.setattr(exact, "_LAYOUT_CUTOFF", 10**9)
         closures = count_calls(exact._czf_closure_mask)
-        games = count_calls(exact._deduction_closure)
+        sweeps = count_calls(exact._first_layout)
         completions = count_calls(complete_with_slides)
         assert czf_exact(g).value == d_exact(g).value == cfms_exact(g).value == 5
         assert min(bin(args[1]).count("1") for args in closures) == 5
-        assert min(sum(args[1].values()) for args in games) == 5
+        assert min(args[2] for args in sweeps) == 5
         assert min(len(args[1]) for args in completions) == 5
 
 

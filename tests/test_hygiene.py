@@ -40,6 +40,30 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} uses assert at lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_used(path):
+    # A module-level import counts as used when the module reads its name
+    # somewhere or lists it in __all__.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    unused = {name: line for name, line in bound.items() if name not in read}
+    assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
 @pytest.mark.parametrize("module, path", _traced(), ids=str)
 def test_traced_names_resolve(module, path):
     # The traced benchmark looks each name up in its owner's __dict__, so
