@@ -213,126 +213,93 @@ def _path_places(adj: dict[int, set[int]], pre) -> list[int]:
     return places
 
 
-def _ring_feasible(occupied: list[bool], pinned: int | None = None) -> bool:
-    """Whether the occupied positions can clear the ring they sit on.
+def _ring_scan(forced: list[bool], spare: int, wrap: bool) -> tuple[int, tuple] | None:
+    """Cheapest clearing superset of the forced positions on a ring, for
+    one use of position 0's slide; None when no superset clears.
 
-    Clearing works iff every unoccupied run has length at most 2, each
-    length-2 run receives a slide from both flanking searchers and each
-    length-1 run from at least one, no searcher slides twice, and, unless
-    the ring is fully occupied, some two occupied positions are adjacent
-    (an alternating layout deadlocks: nobody's first slide is ever legal).
-    A pinned position contributes occupation but may not slide.
+    The occupied positions clear the ring iff every unoccupied run has
+    length at most 2, each length-2 run receives a slide from both
+    flanking searchers and each length-1 run from at least one, no
+    searcher slides twice, and, unless the ring is fully occupied, some
+    two occupied positions are adjacent (an alternating layout
+    deadlocks: nobody's first slide is ever legal).  Position 0 must be
+    forced.  spare = 1 keeps its slide for the run on its right; wrap
+    lets it slide into the run that closes the ring; with neither it is
+    pinned: it contributes occupation but may not slide.
+
+    Returns (cost, choices): cost counts the occupied positions that are
+    not forced, and choices is a linked list (occupied, previous node)
+    from the last position back to position 0.  One pass over the ring
+    drives a state machine over (current run info, spare slide capacity,
+    whether two adjacent occupied positions exist yet) that keeps a
+    cheapest choice per state, so a step costs O(1).
     """
-    ring = len(occupied)
-    if all(occupied):
-        return True
-    if not any(occupied):
-        return False
-    start = next(
-        (i for i in range(ring) if occupied[i] and occupied[i - 1]), None
-    )
-    if start is None:
-        return False
-    # Walk the ring from inside a block; greedily spend each searcher's
-    # slide on the run to its left when that run still needs it.
-    capacity = {i: 0 if i == pinned else 1 for i in range(ring) if occupied[i]}
-    i = start
-    seen = 0
-    while seen < ring:
-        if not occupied[i % ring]:
-            run_start = i
-            while not occupied[i % ring]:
-                i += 1
-            run_len = i - run_start
-            seen += run_len
-            left, right = (run_start - 1) % ring, i % ring
-            if run_len == 1:
-                if capacity[left]:
-                    capacity[left] -= 1
-                elif capacity[right]:
-                    capacity[right] -= 1
+    ring = len(forced)
+    if not forced[0]:
+        raise ValueError("position 0 must be forced")
+    # States: ("O", cap, len2) inside an occupied run, where cap is the
+    # newest searcher's spare slide and len2 tracks run length >= 2;
+    # ("U", a, leftcap) inside an unoccupied run of length a backed by
+    # leftcap spare capacity on its left flank.  big records whether
+    # any occupied run reached length 2.
+    frontier: dict[tuple, tuple[int, tuple]] = {(("O", spare, False), False): (0, (True, None))}
+    for p in range(1, ring):
+        nxt: dict[tuple, tuple[int, tuple]] = {}
+
+        def push(state: tuple, cost: int, chosen: tuple) -> None:
+            cur = nxt.get(state)
+            if cur is None or cost < cur[0]:
+                nxt[state] = (cost, chosen)
+
+        for ((kind, x, y), big), (cost, chosen) in frontier.items():
+            on, off = (True, chosen), (False, chosen)
+            for occ in (True, False):
+                if forced[p] and not occ:
+                    continue
+                add = 0 if forced[p] else int(occ)
+                if kind == "O":
+                    if occ:
+                        push((("O", 1, True), True), cost + add, on)
+                    else:
+                        push((("U", 1, x), big), cost, off)
                 else:
-                    return False
-            elif run_len == 2:
-                if capacity[left] and capacity[right]:
-                    capacity[left] -= 1
-                    capacity[right] -= 1
-                else:
-                    return False
-            else:
-                return False
+                    if occ:
+                        if x == 1:
+                            if y:
+                                push((("O", 1, False), big), cost + add, on)
+                            push((("O", 0, False), big), cost + add, on)
+                        else:
+                            if y:
+                                push((("O", 0, False), big), cost + add, on)
+                    elif x == 1:
+                        push((("U", 2, y), big), cost, off)
+        frontier = nxt
+    best: tuple[int, tuple] | None = None
+    for ((kind, x, y), big), (cost, chosen) in frontier.items():
+        if kind == "O":
+            feasible = True
+        elif x == 1:
+            feasible = big and (y == 1 or wrap)
         else:
-            i += 1
-            seen += 1
-    return True
+            feasible = big and y == 1 and wrap
+        if feasible and (best is None or cost < best[0]):
+            best = (cost, chosen)
+    return best
 
 
 def _ring_minimum_occupation(forced: list[bool]) -> list[int]:
     """Smallest clearing superset of the forced positions on a ring.
 
-    Position 0 must be forced.  Returns all occupied positions of a
-    cheapest feasible choice, found by scanning the ring once per seam
-    option with a state machine over (current run info, spare slide
-    capacity, whether two adjacent occupied positions exist yet).  Each
-    state keeps its choices as a linked list (occupied, previous node),
-    so a step costs O(1) and the scan is linear in the ring's length.
+    Position 0 must be forced.  Returns all occupied positions of the
+    cheaper of the two scans in which position 0 may slide: keeping its
+    slide for the run on its right, or spending it on the run that
+    closes the ring; the first wins ties.
     """
-    ring = len(forced)
-    if not forced[0]:
-        raise ValueError("position 0 must be forced")
-    best: tuple[int, tuple] | None = None
-    for seam in (0, 1):
-        # States: ("O", cap, len2) inside an occupied run, where cap is the
-        # newest searcher's spare slide and len2 tracks run length >= 2;
-        # ("U", a, leftcap) inside an unoccupied run of length a backed by
-        # leftcap spare capacity on its left flank.  big records whether
-        # any occupied run reached length 2.
-        initial = (("O", 1 - seam, False), False)
-        frontier: dict[tuple, tuple[int, tuple]] = {initial: (0, (True, None))}
-        for p in range(1, ring):
-            nxt: dict[tuple, tuple[int, tuple]] = {}
-
-            def push(state: tuple, cost: int, chosen: tuple) -> None:
-                cur = nxt.get(state)
-                if cur is None or cost < cur[0]:
-                    nxt[state] = (cost, chosen)
-
-            for ((kind, x, y), big), (cost, chosen) in frontier.items():
-                on, off = (True, chosen), (False, chosen)
-                for occ in (True, False):
-                    if forced[p] and not occ:
-                        continue
-                    add = 0 if forced[p] else int(occ)
-                    if kind == "O":
-                        if occ:
-                            push((("O", 1, True), True), cost + add, on)
-                        else:
-                            push((("U", 1, x), big), cost, off)
-                    else:
-                        if occ:
-                            if x == 1:
-                                if y:
-                                    push((("O", 1, False), big), cost + add, on)
-                                push((("O", 0, False), big), cost + add, on)
-                            else:
-                                if y:
-                                    push((("O", 0, False), big), cost + add, on)
-                        elif x == 1:
-                            push((("U", 2, y), big), cost, off)
-            frontier = nxt
-        for ((kind, x, y), big), (cost, chosen) in frontier.items():
-            if kind == "O":
-                feasible = True
-            elif x == 1:
-                feasible = big and (y == 1 or seam == 1)
-            else:
-                feasible = big and y == 1 and seam == 1
-            if feasible and (best is None or cost < best[0]):
-                best = (cost, chosen)
-    if best is None:
+    scans = [s for s in (_ring_scan(forced, 1, False), _ring_scan(forced, 0, True)) if s is not None]
+    if not scans:
         raise RuntimeError("ring occupation search failed; this is a bug")
+    node = min(scans, key=lambda s: s[0])[1]
     flags: list[bool] = []
-    node = best[1]
     while node is not None:
         occ, node = node
         flags.append(occ)
@@ -350,7 +317,8 @@ def _cycle_places(pre, rotation: tuple[int, ...]) -> tuple[list[int], str]:
     cheapest placement set whose occupied runs satisfy the slide-capacity
     rules; the label reports what the chosen optimum does at the lowest
     occupied vertex u: its searcher rests (a), it must slide (b), or a
-    new searcher lands next to it (c).
+    new searcher lands next to it (c).  Label a is the pinned ring scan's
+    verdict: the chosen set, with u unable to slide, costs nothing more.
     """
     held = [w for w in rotation if w in pre]
     if not held:
@@ -368,7 +336,8 @@ def _cycle_places(pre, rotation: tuple[int, ...]) -> tuple[list[int], str]:
     turned = rotation[at:] + rotation[:at]
     chosen = set(_ring_minimum_occupation([v in pre for v in turned]))
     places = sorted(turned[p] for p in chosen if turned[p] not in pre)
-    if _ring_feasible([p in chosen for p in range(len(turned))], pinned=0):
+    pinned = _ring_scan([p in chosen for p in range(len(turned))], 0, False)
+    if pinned is not None and pinned[0] == 0:
         label = "a"
     elif turned[1] in places or turned[-1] in places:
         label = "c"

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from math import ceil
 
-from .engines import Strategy, certify
+from .engines import Strategy, certify, complete_with_slides
 from .exact import ParameterResult, czf_exact
 from .graphs import (
     Edge,
@@ -117,9 +117,12 @@ def cover_to_strategy(inst: ReductionInstance, cover) -> Strategy:
 
     Searchers go on every even copy, on the odd copies of the cover
     (padded up to l, supersets of covers are covers), and on the first
-    inner vertex of each gadget.  Gadgets incident to even copies clear
-    first, then the fiber edges of uncovered vertices by sliding, then
-    the gadgets on odd copies.  The result is replayed before returning.
+    inner vertex of each gadget.  These placements clear h: gadgets
+    incident to even copies clear first, then the fiber edges of
+    uncovered vertices by sliding, then the gadgets on odd copies.  The
+    engine's greedy completion schedules the slides, since every maximal
+    slide order reaches the same cleared set.  The result is replayed
+    before returning.
     """
     g, l = inst.source
     chosen = set(cover)
@@ -135,50 +138,20 @@ def cover_to_strategy(inst: ReductionInstance, cover) -> Strategy:
             break
         chosen.add(v)
     # A budget beyond n parks the surplus on second inner vertices, one
-    # per gadget, skipping that gadget's slide.
+    # per gadget.
     surplus = l - len(chosen)
     if surplus > 4 * g.m:
         raise ValueError("budget l is too large to spend on this instance")
 
     places = [2 * v for v in range(g.n)]
     places += [2 * u + 1 for u in sorted(chosen)]
-    doubled: set[Block] = set()
     for u, v in g.sorted_edges():
         for quad in inst.blocks[(u, v)]:
             places.append(quad[2])
             if surplus > 0:
                 places.append(quad[3])
-                doubled.add(quad)
                 surplus -= 1
-
-    by_pair = {}
-    for quads in inst.blocks.values():
-        for quad in quads:
-            by_pair[(quad[0], quad[1])] = quad
-
-    def gadget_slide(x: int, y: int) -> list[tuple[int, int, int]]:
-        quad = by_pair[(x, y)] if (x, y) in by_pair else by_pair[(y, x)]
-        if quad in doubled:
-            return []
-        return [("slide", quad[2], quad[3])]
-
-    reps = []
-    for u, v in g.sorted_edges():
-        c = u if u in chosen else v
-        reps.append((c, u + v - c))
-    slides: list[tuple[int, int, int]] = []
-    for c, o in reps:
-        slides += gadget_slide(2 * o, 2 * c)
-    for c, o in reps:
-        slides += gadget_slide(2 * o, 2 * c + 1)
-    for o in sorted(set(range(g.n)) - chosen):
-        slides.append(("slide", 2 * o, 2 * o + 1))
-    for c, o in reps:
-        slides += gadget_slide(2 * o + 1, 2 * c)
-    for c, o in reps:
-        slides += gadget_slide(2 * o + 1, 2 * c + 1)
-
-    strategy = Strategy(tuple(("place", v) for v in places) + tuple(slides))
+    strategy = complete_with_slides(inst.h, places)
     if strategy.searcher_count() != inst.k:
         raise RuntimeError("reduction strategy missed the budget; this is a bug")
     certify(inst.h, strategy)

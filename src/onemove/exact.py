@@ -115,12 +115,15 @@ class ParameterResult:
 
     witness depends on the parameter: a vertex list for forcing sets and
     independent sets, a Layout for the deduction number, a Strategy for
-    the sliding number, a UniquenessWitness for matchings.
+    the sliding number, a UniquenessWitness for matchings.  trace holds
+    the cactus solver's rule applications when solver.solve took the
+    cactus method, and is empty otherwise.
     """
 
     value: int
     witness: object
     method: str
+    trace: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,10 @@ Every returned witness has therefore been replayed exactly once.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from .cactus import CactusInstance, cactus_solve
 from .engines import certify
-from .exact import czf_exact
+from .exact import ParameterResult, czf_exact
 from .families import (
     CliqueConstruction,
     DismantlingOrdering,
@@ -28,18 +27,6 @@ from .graphs import Graph, classify
 log = logging.getLogger(__name__)
 
 METHODS = ("auto", "exact", "tree", "unicyclic", "cactus", "dismantle", "clique")
-
-
-@dataclass(frozen=True)
-class Solution:
-    """A certified value: the witness is a Strategy, a Layout (clique
-    method) or a tuple of forcing-set vertices (exact method); trace holds
-    the cactus solver's rule applications."""
-
-    value: int
-    method: str
-    witness: object
-    trace: tuple[str, ...] = ()
 
 
 def _route(g: Graph) -> tuple[str, DismantlingOrdering | None]:
@@ -62,9 +49,14 @@ def solve(
     *,
     construction: CliqueConstruction | None = None,
     force: bool = False,
-) -> Solution:
+) -> ParameterResult:
     """Solve g by one of METHODS; with preoccupied vertices, the value is
     the number of additional searchers and only the cactus method applies.
+
+    The result names the method that ran.  Its witness is a Strategy, a
+    Layout (clique method) or a list of forcing-set vertices (exact
+    method); only the cactus method fills trace, with its rule
+    applications.
 
     The clique method needs a construction, and force lets the exhaustive
     search pass its ceiling.  Inputs a method does not accept raise
@@ -81,23 +73,21 @@ def solve(
         log.info("auto-detection chose the %s method", method)
 
     if method in ("tree", "unicyclic"):
-        result = tree_solve(g) if method == "tree" else unicyclic_solve(g)
-        return Solution(result.value, method, result.witness)
+        return tree_solve(g) if method == "tree" else unicyclic_solve(g)
     if method == "cactus":
         plan = cactus_solve(CactusInstance(g, pre))
-        return Solution(plan.additional_searchers, method, plan.strategy, plan.trace)
+        return ParameterResult(plan.additional_searchers, plan.strategy, method, plan.trace)
     if method == "dismantle":
         if ordering is None:
             ordering = pendent_dismantle(g)
         if ordering is None:
             raise ValueError("graph is not dismantlable by pendent edge deletions")
-        return Solution(g.n - len(ordering), method, dismantling_strategy(g, ordering))
+        return ParameterResult(g.n - len(ordering), dismantling_strategy(g, ordering), method)
     if method == "clique":
         if construction is None:
             raise ValueError("the clique method needs a construction")
         value = clique_construction_value(g, construction)
-        return Solution(value, method, clique_construction_layout(g, construction))
+        return ParameterResult(value, clique_construction_layout(g, construction), method)
     result = czf_exact(g, force=force)
-    witness = tuple(result.witness)
-    certify(g, witness)
-    return Solution(result.value, method, witness)
+    certify(g, result.witness)
+    return result

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onemove import cactus, graphs
+from onemove import cactus, engines, graphs
 from onemove.cactus import (
     CactusInstance,
     CactusPlan,
@@ -59,6 +59,23 @@ def solve_pre(g, pre=frozenset()):
 def plan_clears(g, plan, pre):
     state = cfms_run(g, plan.strategy, preoccupied=pre)
     return state.success and state.ever_occupied == frozenset(range(g.n))
+
+
+def pinned_ring_clears(occupied):
+    """Whether the occupied positions clear their ring when the searcher at
+    position 0 may not slide: the engine's clearing rule, sliding the
+    lowest ready searcher until none is ready."""
+    ring = len(occupied)
+    run = engines._Clearing(cycle_graph(ring))
+    for i, p in enumerate(p for p in range(ring) if occupied[p]):
+        run.place(p, i)
+    run.moved.add(0)
+    while True:
+        ready = [u for u in sorted(run.occupied) if u not in run.moved and run.contaminated[u] == 1]
+        if not ready:
+            return len(run.cleared) == ring
+        (v,) = run.contaminated_at(ready[0])
+        run.slide(ready[0], v, 0)
 
 
 class TestInstance:
@@ -138,6 +155,24 @@ class TestCycleSolve:
         value, _ = solve_pre(cycle_graph(n), frozenset(range(0, n, 5)))
         assert time.perf_counter() - start < 2.0
         assert value == 3 * n // 10
+
+    @pytest.mark.parametrize("ring", range(3, 13))
+    def test_case_a_iff_pinned_clearing(self, ring):
+        # Every pattern with position 0 occupied: the pinned ring scan
+        # costs nothing more iff the engine clears the ring with position
+        # 0 held still, and the cycle's label is "a" iff its chosen set
+        # does so.
+        rotation = tuple(range(ring))
+        for bits in range(1 << (ring - 1)):
+            occupied = [True] + [bool(bits >> i & 1) for i in range(ring - 1)]
+            scan = cactus._ring_scan(occupied, 0, False)
+            assert (scan is not None and scan[0] == 0) == pinned_ring_clears(occupied)
+            if any(occupied[p] and occupied[p - 1] for p in rotation):
+                continue
+            pre = frozenset(p for p in rotation if occupied[p])
+            places, label = cactus._cycle_places(pre, rotation)
+            chosen = [p in pre or p in places for p in rotation]
+            assert (label == "a") == pinned_ring_clears(chosen)
 
     def test_exhaustive_small_cycles(self):
         for n in range(3, 8):

@@ -209,6 +209,24 @@ class TestCoverToStrategy:
                 strat = cover_to_strategy(inst, cover)
                 assert strat.searcher_count() == inst.k
 
+    @pytest.mark.parametrize("g", [generate(FamilySpec("complete", 4)), PRISM], ids=["K4", "prism"])
+    def test_every_cover_clears_at_three_budgets(self, g):
+        covers = [
+            set(sub)
+            for size in range(1, g.n + 1)
+            for sub in itertools.combinations(range(g.n), size)
+            if all(u in sub or v in sub for u, v in g.edges)
+        ]
+        assert covers
+        for cover in covers:
+            for l in range(len(cover), len(cover) + 3):
+                inst = vc_to_czf_reduction(g, l)
+                strat = cover_to_strategy(inst, cover)
+                assert strat.is_normalized()
+                assert strat.searcher_count() == inst.k
+                state = cfms_run(inst.h, strat)
+                assert state.success and state.ever_occupied == frozenset(range(inst.h.n))
+
 
 class TestWriteReduction:
     def test_edge_list_roundtrip(self):

@@ -64,6 +64,31 @@ def test_module_imports_used(path):
     assert unused == {}, f"{path.name} imports names it never uses: {unused}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_names_read(path):
+    # A private module-level function, class or constant is read by its
+    # own module outside its own definition, or it is a stranded helper.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [
+        {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body
+    ]
+    unread = {}
+    for i, stmt in enumerate(tree.body):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in seen for j, seen in enumerate(reads) if j != i):
+                unread[name] = stmt.lineno
+    assert unread == {}, f"{path.name} defines private names it never reads: {unread}"
+
+
 @pytest.mark.parametrize("module, path", _traced(), ids=str)
 def test_traced_names_resolve(module, path):
     # The traced benchmark looks each name up in its owner's __dict__, so
