@@ -7,8 +7,8 @@ and always exposes a cycle that is isolated or meets the rest of the
 graph in a single branching vertex; those fall to a case analysis that
 compares the cost of the whole cycle with the cost of the path avoiding
 the branching vertex.  Solvers here compute placements only: slides are
-reconstructed greedily, and every finished plan is replayed through the
-engine before it is returned.
+reconstructed greedily, and the finished strategy is left for the caller
+to replay (solver.solve certifies it once).
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .engines import Strategy, certify, complete_with_slides
+from .engines import complete_with_slides
+from .exact import ParameterResult
 from .graphs import (
     Graph,
     alternating_places,
@@ -28,7 +29,6 @@ from .graphs import (
 
 __all__ = [
     "CactusInstance",
-    "CactusPlan",
     "parse_cactus_instance",
     "split_preoccupied",
     "write_cactus_instance",
@@ -58,16 +58,6 @@ class CactusInstance:
         if not shape.is_cactus:
             raise ValueError("graph is not a cactus forest")
         object.__setattr__(self, "cycles", shape.cycles)
-
-
-@dataclass(frozen=True)
-class CactusPlan:
-    """Solver output: extra searchers beyond the pre-occupying ones,
-    a full replayable strategy, and the rule applications that led there."""
-
-    additional_searchers: int
-    strategy: Strategy
-    trace: tuple[str, ...]
 
 
 def split_preoccupied(text: str) -> tuple[str, frozenset[int] | None]:
@@ -346,8 +336,12 @@ def _cycle_places(pre, rotation: tuple[int, ...]) -> tuple[list[int], str]:
     return places, label
 
 
-def cactus_solve(inst: CactusInstance) -> CactusPlan:
-    """Fewest extra searchers for a cactus forest, with plan and trace.
+def cactus_solve(inst: CactusInstance) -> ParameterResult:
+    """Fewest extra searchers for a cactus forest, with strategy and trace.
+
+    The value counts searchers beyond the pre-occupying ones, the witness
+    is a full strategy (not replayed here) and trace lists the rule
+    applications that led there.
 
     Alternates the degree-1 rules with cycle elimination.  An isolated
     cycle is solved outright.  A leaf cycle C with branching vertex v is
@@ -461,8 +455,5 @@ def cactus_solve(inst: CactusInstance) -> CactusPlan:
             dirty |= _delete(adj, pre, cyc)
 
     strategy = complete_with_slides(g, places, preoccupied=inst.preoccupied)
-    certify(g, strategy, inst.preoccupied)
-    return CactusPlan(
-        additional_searchers=len(places), strategy=strategy, trace=tuple(trace)
-    )
+    return ParameterResult(len(places), strategy, "cactus", tuple(trace))
 

@@ -200,12 +200,15 @@ def _simulate_cfms(g: Graph, strategy: Strategy) -> None:
             print(f"{label}: clears", " ".join(f"({u},{v})" for u, v in fresh))
         else:
             print(f"{label}: clears nothing")
-    success = bool(strategy.actions) and len(run.cleared) == g.m
-    if success:
+    state = run.state()
+    if state.success:
         print("cleared: all")
     else:
-        print(f"cleared: {len(run.cleared)}/{g.m}")
-    print("success:", "true" if success else "false")
+        print(f"cleared: {len(state.cleared_edges)}/{g.m}")
+    unvisited = sorted(set(range(g.n)) - state.ever_occupied)
+    if unvisited:
+        print("unvisited:", " ".join(map(str, unvisited)))
+    print("success:", "true" if state.succeeded(g) else "false")
 
 
 def _cmd_simulate(args) -> int:

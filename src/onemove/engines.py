@@ -171,6 +171,10 @@ class CfmsState:
     ever_occupied: frozenset[int]
     success: bool
 
+    def succeeded(self, g: Graph) -> bool:
+        """Every edge cleared and every vertex held a searcher at some point."""
+        return self.success and len(self.ever_occupied) == g.n
+
 
 class _Clearing:
     """The sliding model's clearing rule, applied one action at a time.
@@ -246,6 +250,16 @@ class _Clearing:
         """Action i of a Strategy; returns the edges it cleared."""
         return self.place(act[1], i) if act[0] == "place" else self.slide(act[1], act[2], i)
 
+    def state(self) -> CfmsState:
+        """What the actions applied so far have cleared and occupied."""
+        return CfmsState(
+            occupied=frozenset(self.occupied),
+            moved=frozenset(self.moved),
+            cleared_edges=frozenset(self.cleared),
+            ever_occupied=frozenset(self.ever),
+            success=len(self.cleared) == self.g.m,
+        )
+
 
 def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState:
     """Run a sliding strategy and report what it cleared.
@@ -258,13 +272,7 @@ def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState
     run = _Clearing(g, preoccupied)
     for i, act in enumerate(strategy.actions):
         run.apply(act, i)
-    return CfmsState(
-        occupied=frozenset(run.occupied),
-        moved=frozenset(run.moved),
-        cleared_edges=frozenset(run.cleared),
-        ever_occupied=frozenset(run.ever),
-        success=len(run.cleared) == g.m,
-    )
+    return run.state()
 
 
 def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
@@ -273,8 +281,7 @@ def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
     Repeatedly slides the lowest-index unslid searcher that has exactly one
     contaminated incident edge.  The reachable cleared set is the same for
     every maximal slide order, so this canonical order loses nothing.  The
-    result deliberately gets re-run through certify wherever a value
-    depends on it.
+    result is not replayed here: whoever reports it passes it to certify.
     """
     place_list = sorted(set(places))
     if set(preoccupied) & set(place_list):
@@ -346,14 +353,14 @@ def deduction_to_cfms(g: Graph, layout: Layout, sequence: FiringSequence | None 
 def certify(g: Graph, witness, preoccupied=frozenset()) -> None:
     """Replay a Strategy (which must clear every edge and visit every
     vertex), a Layout (which must win the deduction game) or a forcing set
-    (which must color every vertex); RuntimeError unless it succeeds."""
-    everything = frozenset(range(g.n))
+    (which must color every vertex); RuntimeError unless it succeeds.
+    solver.solve calls it once per result; the solvers it routes to never
+    do."""
     if isinstance(witness, Strategy):
-        state = cfms_run(g, witness, preoccupied)
-        kind, ok = "strategy", state.success and state.ever_occupied == everything
+        kind, ok = "strategy", cfms_run(g, witness, preoccupied).succeeded(g)
     elif isinstance(witness, Layout):
         kind, ok = "layout", is_successful(g, witness)
     else:
-        kind, ok = "forcing-set", czf_run(g, witness).colored == everything
+        kind, ok = "forcing-set", czf_run(g, witness).succeeded(g)
     if not ok:
         raise RuntimeError(f"{kind} witness failed to replay; this is a bug")

@@ -42,8 +42,9 @@ CZF_EXACT_CEILING = 24
 # from ceil(n/2) to n - 2 is swept in full.  It took 0.84 s at n = 13 and
 # 3.2 s at n = 14; G(n, p), p = 0.3..0.95, took at most 0.24 s at 13.
 D_EXACT_CEILING = 13
-# The sliding search cross-checks itself with d_exact, so it stops there too.
-CFMS_EXACT_CEILING = D_EXACT_CEILING
+# The same star is the sliding search's slowest input measured: 0.12-0.24 s
+# at n = 13 and 0.31-0.60 s at n = 14.
+CFMS_EXACT_CEILING = 13
 MU_EXACT_CEILING = 16
 
 # Below this class size the scalar forcing loop beats the numpy setup
@@ -518,35 +519,19 @@ def cfms_exact(g: Graph, preoccupied=frozenset(), *, force: bool = False) -> Par
     the minimum degree: a searcher slides at most once, so it occupies at
     most two vertices, and every vertex must be occupied; at the first
     slide from u, u and every other neighbor of u are occupied, and with
-    no slide at all every vertex holds a searcher.  With no pre-occupation
-    the value is cross-checked against the deduction oracle and a
-    mismatch raises RuntimeError; the cross-check runs first, so an input
-    the deduction oracle refuses is refused before any placement is tried.
-    Refuses graphs above CFMS_EXACT_CEILING unless force is given.
+    no slide at all every vertex holds a searcher.  Refuses graphs above
+    CFMS_EXACT_CEILING unless force is given.
     """
     _check_ceiling("cfms_exact", g.n, CFMS_EXACT_CEILING, force)
     pre = frozenset(preoccupied)
-    dd = None if pre else d_exact(g, force=force)
     free = sorted(set(range(g.n)) - pre)
     floor = max((g.n + 1) // 2, min(map(len, g.adjacency()), default=0))
-    found: ParameterResult | None = None
     for s in range(max(0, floor - len(pre)), len(free) + 1):
         for combo in itertools.combinations(free, s):
             strategy = complete_with_slides(g, combo, preoccupied=pre)
-            state = cfms_run(g, strategy, preoccupied=pre)
-            if state.success and state.ever_occupied == frozenset(range(g.n)):
-                found = ParameterResult(s, strategy, "exact")
-                break
-        if found:
-            break
-    if found is None:
-        raise AssertionError("placing searchers everywhere always clears the graph")
-    if dd is not None and dd.value != found.value:
-        raise RuntimeError(
-            f"oracle divergence: sliding search gives {found.value}, "
-            f"deduction gives {dd.value}"
-        )
-    return found
+            if cfms_run(g, strategy, preoccupied=pre).succeeded(g):
+                return ParameterResult(s, strategy, "exact")
+    raise AssertionError("placing searchers everywhere always clears the graph")
 
 
 # ---------------------------------------------------------------------------

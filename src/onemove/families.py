@@ -3,19 +3,21 @@
 Each solver returns the minimum searcher count together with a witness
 that replays on the simulation engines: a sliding strategy for trees,
 unicyclic graphs, and attached-tree graphs, and a searcher layout for
-clique-constructed graphs.  Pendant-edge dismantling orderings act as
-certificates in their own right; any two orderings of the same graph
-have equal length, so the count they certify is well defined.  Trees,
-dismantling and attached trees all start from one greedy pendant peel
-(graphs.peel_pendants): deleting any pendant edge of a dismantlable
-graph leaves a dismantlable graph, so no search is needed.  Unicyclic
-graphs are cactus forests, so a shape check hands them to
-cactus.cactus_solve.
+clique-constructed graphs.  The solvers that solver.solve routes to
+leave the replay to it; attach_trees_solve and clique_construction_value
+report without it, so each replays its witness once itself.
+Pendant-edge dismantling orderings act as certificates in their own
+right; any two orderings of the same graph have equal length, so the
+count they certify is well defined.  Trees, dismantling and attached
+trees all start from one greedy pendant peel (graphs.peel_pendants):
+deleting any pendant edge of a dismantlable graph leaves a dismantlable
+graph, so no search is needed.  Unicyclic graphs are cactus forests, so
+a shape check hands them to cactus.cactus_solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cactus import CactusInstance, cactus_solve
 from .deduction import Layout
@@ -29,7 +31,6 @@ __all__ = [
     "tree_solve",
     "unicyclic_solve",
     "pendent_dismantle",
-    "dismantlable_value",
     "dismantling_strategy",
     "clique_construction_value",
     "clique_construction_layout",
@@ -74,15 +75,13 @@ class CliqueConstruction:
 
 
 def _pairs_strategy(g: Graph, oriented: list[tuple[int, int]]) -> Strategy:
-    """Certified strategy for pendant pairs (degree-1 end, other end) in
-    deletion order: place on every vertex but the other ends, then slide
-    each degree-1 end across its edge in turn."""
+    """Strategy for pendant pairs (degree-1 end, other end) in deletion
+    order: place on every vertex but the other ends, then slide each
+    degree-1 end across its edge in turn."""
     targets = {p for _, p in oriented}
     actions: list[tuple] = [("place", v) for v in range(g.n) if v not in targets]
     actions.extend(("slide", c, p) for c, p in oriented)
-    strategy = Strategy(tuple(actions))
-    certify(g, strategy)
-    return strategy
+    return Strategy(tuple(actions))
 
 
 def tree_solve(t: Graph) -> ParameterResult:
@@ -113,8 +112,7 @@ def unicyclic_solve(g: Graph) -> ParameterResult:
     """
     if len(connected_components(g)) != 1 or g.m != g.n:
         raise ValueError("input graph is not connected unicyclic")
-    plan = cactus_solve(CactusInstance(g))
-    return ParameterResult(value=plan.additional_searchers, witness=plan.strategy, method="unicyclic")
+    return replace(cactus_solve(CactusInstance(g)), method="unicyclic", trace=())
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +162,12 @@ def _replay_ordering(g: Graph, o: DismantlingOrdering) -> list[tuple[int, int]]:
     return oriented
 
 
-def dismantlable_value(g: Graph, o: DismantlingOrdering) -> int:
-    """Searcher count certified by a dismantling ordering: n minus its length.
+def dismantling_strategy(g: Graph, o: DismantlingOrdering) -> Strategy:
+    """Sliding strategy that realizes a dismantling ordering's searcher
+    count, n minus the ordering's length.
 
     Replays the ordering step by step and raises if any step is not a
     pendant edge of the residual graph or if edges survive at the end.
-    """
-    _replay_ordering(g, o)
-    return g.n - len(o.edges)
-
-
-def dismantling_strategy(g: Graph, o: DismantlingOrdering) -> Strategy:
-    """Sliding strategy that realizes a dismantling ordering's searcher count.
-
     Places a searcher on the degree-1 endpoint of every deleted edge and on
     every surviving vertex, then slides each degree-1 endpoint across its
     edge in deletion order.
@@ -234,7 +225,8 @@ def _validate_clique_construction(g: Graph, c: CliqueConstruction) -> None:
 
 
 def clique_construction_layout(g: Graph, c: CliqueConstruction) -> Layout:
-    """Witness layout for a valid construction: everything except anchors."""
+    """Witness layout for a valid construction: everything except anchors,
+    so its total is n minus one anchor per clique.  Not replayed here."""
     _validate_clique_construction(g, c)
     return Layout.standard(v for v in range(g.n) if v not in set(c.anchors))
 
@@ -245,8 +237,9 @@ def clique_construction_value(g: Graph, c: CliqueConstruction) -> int:
     Validates the construction against g, then confirms the non-anchor
     layout wins the deduction game before reporting the count.
     """
-    certify(g, clique_construction_layout(g, c))
-    return g.n - len(c.cliques)
+    layout = clique_construction_layout(g, c)
+    certify(g, layout)
+    return layout.total()
 
 
 # ---------------------------------------------------------------------------
@@ -340,4 +333,5 @@ def attach_trees_solve(g: Graph, h: Graph, attachment: dict[int, frozenset[int]]
             " by pendant-edge removals"
         )
     strategy = _pairs_strategy(h, pairs)
+    certify(h, strategy)
     return ParameterResult(value=h.n - len(pairs), witness=strategy, method="dismantle")

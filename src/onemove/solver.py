@@ -1,8 +1,7 @@
 """The library entry point: route an input to a solver and certify its witness.
 
-Each structured solver replays its own witness through engines.certify;
-the exhaustive search does not, so solve certifies its forcing set.
-Every returned witness has therefore been replayed exactly once.
+The solvers that solve routes to do not replay their witnesses; solve
+passes every result through engines.certify once before returning it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .families import (
     CliqueConstruction,
     DismantlingOrdering,
     clique_construction_layout,
-    clique_construction_value,
     dismantling_strategy,
     pendent_dismantle,
     tree_solve,
@@ -73,21 +71,21 @@ def solve(
         log.info("auto-detection chose the %s method", method)
 
     if method in ("tree", "unicyclic"):
-        return tree_solve(g) if method == "tree" else unicyclic_solve(g)
-    if method == "cactus":
-        plan = cactus_solve(CactusInstance(g, pre))
-        return ParameterResult(plan.additional_searchers, plan.strategy, method, plan.trace)
-    if method == "dismantle":
+        result = tree_solve(g) if method == "tree" else unicyclic_solve(g)
+    elif method == "cactus":
+        result = cactus_solve(CactusInstance(g, pre))
+    elif method == "dismantle":
         if ordering is None:
             ordering = pendent_dismantle(g)
         if ordering is None:
             raise ValueError("graph is not dismantlable by pendent edge deletions")
-        return ParameterResult(g.n - len(ordering), dismantling_strategy(g, ordering), method)
-    if method == "clique":
+        result = ParameterResult(g.n - len(ordering), dismantling_strategy(g, ordering), method)
+    elif method == "clique":
         if construction is None:
             raise ValueError("the clique method needs a construction")
-        value = clique_construction_value(g, construction)
-        return ParameterResult(value, clique_construction_layout(g, construction), method)
-    result = czf_exact(g, force=force)
-    certify(g, result.witness)
+        layout = clique_construction_layout(g, construction)
+        result = ParameterResult(layout.total(), layout, method)
+    else:
+        result = czf_exact(g, force=force)
+    certify(g, result.witness, pre)
     return result

@@ -43,7 +43,6 @@ from onemove.exact import (
 from onemove.families import (
     CliqueConstruction,
     clique_construction_value,
-    dismantlable_value,
     dismantling_strategy,
     pendent_dismantle,
     tree_solve,
@@ -319,8 +318,9 @@ def test_09_family_solvers_match_the_oracle():
         if order is None:
             continue
         dismantled += 1
-        assert dismantlable_value(g, order) == czf_exact(g).value
-        assert strategy_clears(g, dismantling_strategy(g, order))
+        strategy = dismantling_strategy(g, order)
+        assert strategy.searcher_count() == czf_exact(g).value
+        assert strategy_clears(g, strategy)
 
     built = 0
     while built < 100:
@@ -364,8 +364,8 @@ def test_09_family_solvers_match_the_oracle():
     for _ in range(100):
         g = random_cactus(rng, rng.randint(3, 12))
         plan = cactus_solve(CactusInstance(g, frozenset()))
-        assert plan.additional_searchers == czf_exact(g).value
-        assert strategy_clears(g, plan.strategy)
+        assert plan.value == czf_exact(g).value
+        assert strategy_clears(g, plan.witness)
 
     assert time.perf_counter() - start < 600.0
 
@@ -475,8 +475,8 @@ def test_12_preoccupied_cactus_matches_extended_oracle():
         # Any internal dichotomy violation raises out of cactus_solve and
         # fails this test; none may fire.
         plan = cactus_solve(CactusInstance(g, pre))
-        assert plan.additional_searchers == cfms_exact(g, preoccupied=pre).value
-        assert strategy_clears(g, plan.strategy, pre)
+        assert plan.value == cfms_exact(g, preoccupied=pre).value
+        assert strategy_clears(g, plan.witness, pre)
 
 
 def test_13_contraction_raises_value_by_at_most_one():

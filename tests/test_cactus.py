@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from onemove import cactus, engines, graphs
 from onemove.cactus import (
     CactusInstance,
-    CactusPlan,
     cactus_solve,
     parse_cactus_instance,
     write_cactus_instance,
@@ -53,11 +52,11 @@ def random_cactus(rng, n):
 def solve_pre(g, pre=frozenset()):
     """The cactus core's value and strategy for g with pre occupied."""
     plan = cactus_solve(CactusInstance(g, frozenset(pre)))
-    return plan.additional_searchers, plan.strategy
+    return plan.value, plan.witness
 
 
 def plan_clears(g, plan, pre):
-    state = cfms_run(g, plan.strategy, preoccupied=pre)
+    state = cfms_run(g, plan.witness, preoccupied=pre)
     return state.success and state.ever_occupied == frozenset(range(g.n))
 
 
@@ -189,7 +188,7 @@ class TestCycleSolve:
 class TestCactusSolve:
     def test_bowtie(self):
         plan = cactus_solve(CactusInstance(generate(FamilySpec("bowtie", 5))))
-        assert plan.additional_searchers == 3
+        assert plan.value == 3
         assert plan.trace == (
             "step5.3 cycle=(0,1,2) extender=2 path=1 cycle=2",
             "isolated-cycle (2,3,4) case=none adds=2",
@@ -198,7 +197,7 @@ class TestCactusSolve:
     def test_square_with_leaf(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
         plan = cactus_solve(CactusInstance(g))
-        assert plan.additional_searchers == 3
+        assert plan.value == 3
         assert plan.trace == (
             "step1 v=4 u=0",
             "step1 v=1 u=2",
@@ -209,7 +208,7 @@ class TestCactusSolve:
         g = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5),
                       (5, 6), (0, 6), (0, 7)])
         plan = cactus_solve(CactusInstance(g))
-        assert plan.additional_searchers == czf_exact(g).value == 5
+        assert plan.value == czf_exact(g).value == 5
 
     def test_shared_vertex_squares_with_preoccupied(self):
         # A square and a pentagon sharing vertex 0; the square's interior
@@ -219,7 +218,7 @@ class TestCactusSolve:
                       (4, 5), (5, 6), (6, 7), (7, 8)])
         pre = frozenset({1, 3, 6})
         plan = cactus_solve(CactusInstance(g, pre))
-        assert plan.additional_searchers == 2
+        assert plan.value == 2
         assert plan_clears(g, plan, pre)
 
     def test_classifies_once(self, monkeypatch):
@@ -270,14 +269,14 @@ class TestCactusSolve:
 
         for n in (3, 5, 7, 9):
             g = chain(n)
-            assert cactus_solve(CactusInstance(g)).additional_searchers == czf_exact(g).value
+            assert cactus_solve(CactusInstance(g)).value == czf_exact(g).value
             assert czf_exact(g).value == n // 2 + 1
         n = 10_001
         inst = CactusInstance(chain(n))
         start = time.perf_counter()
         plan = cactus_solve(inst)
         assert time.perf_counter() - start < 3.0
-        assert plan.additional_searchers == n // 2 + 1
+        assert plan.value == n // 2 + 1
 
     def test_long_tail_within_budget(self):
         # A pentagon with a path to 20,000 vertices: rescanning the residual
@@ -289,7 +288,7 @@ class TestCactusSolve:
         start = time.perf_counter()
         plan = cactus_solve(inst)
         assert time.perf_counter() - start < 2.0
-        assert plan.additional_searchers == n // 2
+        assert plan.value == n // 2
 
     def test_trace_shape(self):
         pattern = re.compile(
@@ -305,15 +304,16 @@ class TestCactusSolve:
             plan = cactus_solve(CactusInstance(g, pre))
             for line in plan.trace:
                 assert pattern.match(line), line
+            assert plan_clears(g, plan, pre)
 
     def test_empty_graph(self):
         plan = cactus_solve(CactusInstance(Graph(0, [])))
-        assert plan.additional_searchers == 0
+        assert plan.value == 0
         assert plan.trace == ()
 
     def test_isolated_vertices(self):
         plan = cactus_solve(CactusInstance(Graph(2, []), frozenset({0})))
-        assert plan.additional_searchers == 1
+        assert plan.value == 1
         assert plan.trace == ("isolated v=0 preoccupied", "isolated v=1 placed")
 
     def test_matches_czf_without_preoccupied(self):
@@ -321,7 +321,7 @@ class TestCactusSolve:
         for _ in range(60):
             g = random_cactus(rng, rng.randint(1, 12))
             plan = cactus_solve(CactusInstance(g))
-            assert plan.additional_searchers == czf_exact(g).value
+            assert plan.value == czf_exact(g).value
             assert plan_clears(g, plan, frozenset())
 
     def test_matches_extended_oracle_with_preoccupied(self):
@@ -330,7 +330,7 @@ class TestCactusSolve:
             g = random_cactus(rng, rng.randint(1, 9))
             pre = frozenset(v for v in range(g.n) if rng.random() < 0.35)
             plan = cactus_solve(CactusInstance(g, pre))
-            assert plan.additional_searchers == cfms_exact(g, preoccupied=pre).value
+            assert plan.value == cfms_exact(g, preoccupied=pre).value
             assert plan_clears(g, plan, pre)
 
     def test_disconnected_instances(self):
@@ -342,7 +342,8 @@ class TestCactusSolve:
             g = Graph(a.n + b.n, edges)
             pre = frozenset(v for v in range(g.n) if rng.random() < 0.3)
             plan = cactus_solve(CactusInstance(g, pre))
-            assert plan.additional_searchers == cfms_exact(g, preoccupied=pre).value
+            assert plan.value == cfms_exact(g, preoccupied=pre).value
+            assert plan_clears(g, plan, pre)
 
 
 def rescanning_cactus_solve(inst):
@@ -435,7 +436,7 @@ class TestAgainstRescanningSchedule:
         plan = cactus_solve(CactusInstance(g, pre))
         trace, places = rescanning_cactus_solve(CactusInstance(g, pre))
         assert plan.trace == trace
-        assert plan.strategy == complete_with_slides(g, places, preoccupied=pre)
+        assert plan.witness == complete_with_slides(g, places, preoccupied=pre)
 
 
 class TestTextFormat:

@@ -17,6 +17,10 @@ K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 BOWTIE = "5 6\n0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n"
 # K4 with one pendant per vertex: not a cactus, but dismantlable.
 SPIKY = "8 10\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n1 5\n2 6\n3 7\n"
+C4_PRE = "4 4\n0 1\n1 2\n2 3\n0 3\npreoccupied 1 3\n"
+# Two joined cliques {0, 1} and {2, 3}, and a construction that builds them.
+CHAIN = "4 4\n0 1\n1 2\n1 3\n2 3\n"
+CHAIN_CERT = json.dumps({"cliques": [[0, 1], [2, 3]], "anchors": [0, 2], "attachments": [[1]]})
 
 
 def run(capsys, *argv):
@@ -76,7 +80,7 @@ class TestSolve:
         assert state.success
 
     def test_preoccupied_instance(self, capsys, tmp_path):
-        path = write(tmp_path, "c4pre.el", "4 4\n0 1\n1 2\n2 3\n0 3\npreoccupied 1 3\n")
+        path = write(tmp_path, "c4pre.el", C4_PRE)
         code, out, _ = run(capsys, "solve", "--input", path)
         report = json.loads(out)
         assert (code, report["value"]) == (0, 1)
@@ -123,12 +127,8 @@ class TestSolve:
         assert "certificate" in err
 
     def test_clique_method_with_certificate(self, capsys, tmp_path):
-        graph = write(tmp_path, "chain.el", "4 4\n0 1\n1 2\n1 3\n2 3\n")
-        cert = write(
-            tmp_path,
-            "cert.json",
-            json.dumps({"cliques": [[0, 1], [2, 3]], "anchors": [0, 2], "attachments": [[1]]}),
-        )
+        graph = write(tmp_path, "chain.el", CHAIN)
+        cert = write(tmp_path, "cert.json", CHAIN_CERT)
         code, out, _ = run(
             capsys, "solve", "--input", graph, "--method", "clique", "--certificate", cert
         )
@@ -138,7 +138,7 @@ class TestSolve:
 
     def test_replay_failure_is_internal_error(self, capsys, tmp_path, monkeypatch):
         path = write(tmp_path, "star.el", "5 4\n0 1\n0 2\n0 3\n0 4\n")
-        broken = SimpleNamespace(success=False, ever_occupied=frozenset())
+        broken = SimpleNamespace(success=False, ever_occupied=frozenset(), succeeded=lambda g: False)
         monkeypatch.setattr(engines, "cfms_run", lambda *a, **k: broken)
         code, _, err = run(capsys, "solve", "--input", path)
         assert code == 3
@@ -150,21 +150,34 @@ class TestSolve:
             ("5 4\n0 1\n0 2\n0 3\n0 4\n", "tree"),
             ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n", "unicyclic"),
             (BOWTIE, "cactus"),
+            (C4_PRE, "cactus"),
             (SPIKY, "dismantle"),
+            (WORKED, "exact"),
+            (CHAIN, "clique"),
         ],
-        ids=["tree", "unicyclic", "cactus", "dismantle"],
+        ids=["tree", "unicyclic", "cactus", "cactus-preoccupied", "dismantle", "exact", "clique"],
     )
     def test_witness_replayed_once(self, capsys, tmp_path, count_calls, text, method):
-        path = write(tmp_path, "g.el", text)
-        replays = count_calls(engines.cfms_run)
+        argv = ["solve", "--input", write(tmp_path, "g.el", text)]
+        if method == "clique":
+            argv += ["--method", "clique", "--certificate", write(tmp_path, "cert.json", CHAIN_CERT)]
+        replays = {
+            "strategy": count_calls(engines.cfms_run),
+            "forcing-set": count_calls(engines.czf_run),
+            "layout": count_calls(engines.is_successful),
+        }
         searches = count_calls(families.pendent_dismantle)
         orderings = count_calls(families._replay_ordering)
-        code, out, _ = run(capsys, "solve", "--input", path)
-        assert (code, json.loads(out)["method"]) == (0, method)
-        assert len(replays) == 1
+        validations = count_calls(families._validate_clique_construction)
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert (code, report["method"]) == (0, method)
+        assert {kind: len(calls) for kind, calls in replays.items() if calls} == {report["witness"]["kind"]: 1}
         if method == "dismantle":
             assert len(searches) == 1
             assert len(orderings) == 1
+        if method == "clique":
+            assert len(validations) == 1
 
     def test_router_refuses_before_any_search(self):
         # K19 with 14 pendants (n = 33) is over the exact ceiling; an
@@ -224,7 +237,7 @@ class TestVerify:
         assert report["oracle"] == {"name": "d_exact", "value": 4}
 
     def test_preoccupied_uses_cfms_oracle(self, capsys, tmp_path):
-        path = write(tmp_path, "c4pre.el", "4 4\n0 1\n1 2\n2 3\n0 3\npreoccupied 1 3\n")
+        path = write(tmp_path, "c4pre.el", C4_PRE)
         code, out, _ = run(capsys, "verify", "--input", path)
         report = json.loads(out)
         assert code == 0
@@ -311,6 +324,17 @@ class TestSimulate:
         )
         assert code == 0
         assert out.strip().splitlines()[-1] == "success: true"
+
+    def test_cfms_unvisited_vertex_fails(self, capsys, tmp_path):
+        # Every edge clears, but vertex 2 never holds a searcher, which
+        # solve and certify treat as a failure too.
+        path = write(tmp_path, "k2-and-k1.el", "3 1\n0 1\n")
+        code, out, _ = run(
+            capsys, "simulate", "--input", path, "--model", "cfms",
+            "--strategy", "place 0; place 1",
+        )
+        assert code == 0
+        assert out.strip().splitlines()[-2:] == ["unvisited: 2", "success: false"]
 
     def test_cfms_illegal_strategy(self, capsys, tmp_path):
         path = write(tmp_path, "k2.el", "2 1\n0 1\n")

@@ -256,13 +256,10 @@ class TestCeilings:
         with pytest.raises(ValueError, match="refused"):
             cfms_exact(g, frozenset({0}))
         # The deduction sweep's masks are 16-bit, so force does not lift
-        # that limit; the sliding search runs its deduction cross-check
-        # first, so it refuses before sliding.
+        # that limit.
         g = generate(FamilySpec("path", 17))
         with pytest.raises(ValueError, match="d_exact refused"):
             d_exact(g, force=True)
-        with pytest.raises(ValueError, match="d_exact refused"):
-            cfms_exact(g, force=True)
 
     def test_d_and_cfms_forced_past_ceiling(self):
         # The minimum-degree floor starts K_n's searches at n - 1.
@@ -275,7 +272,7 @@ class TestCeilings:
         # A star with its center last is the slowest deduction search
         # measured at n = 13: every total from 7 to 11 is swept in full,
         # and the first hit of total 12 is far into the enumeration.
-        n = exact.D_EXACT_CEILING
+        n = {"d_exact": exact.D_EXACT_CEILING, "cfms_exact": exact.CFMS_EXACT_CEILING}[oracle]
         g = Graph(n, frozenset((v, n - 1) for v in range(n - 1)))
         start = time.perf_counter()
         res = {"d_exact": d_exact, "cfms_exact": cfms_exact}[oracle](g)

@@ -15,7 +15,6 @@ from onemove.families import (
     attach_trees_solve,
     clique_construction_layout,
     clique_construction_value,
-    dismantlable_value,
     dismantling_strategy,
     pendent_dismantle,
     tree_solve,
@@ -247,33 +246,33 @@ class TestDismantlableValue:
         g = generate(FamilySpec("path", 4))
         o = pendent_dismantle(g)
         assert len(o) == 2
-        assert dismantlable_value(g, o) == 2
+        assert dismantling_strategy(g, o).searcher_count() == 2
 
     def test_pentagon_with_pendant(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
-        assert dismantlable_value(g, pendent_dismantle(g)) == 3
+        assert dismantling_strategy(g, pendent_dismantle(g)).searcher_count() == 3
 
     def test_nine_vertex_tree(self):
         g = generate(FamilySpec("path", 9))
         o = pendent_dismantle(g)
         assert len(o) == 4
-        assert dismantlable_value(g, o) == 5
+        assert dismantling_strategy(g, o).searcher_count() == 5
         assert tree_solve(g).value == 5
 
     def test_rejects_non_pendant_step(self):
         g = generate(FamilySpec("cycle", 4))
         with pytest.raises(ValueError, match="not pendant"):
-            dismantlable_value(g, DismantlingOrdering(((0, 1),)))
+            dismantling_strategy(g, DismantlingOrdering(((0, 1),))).searcher_count()
 
     def test_rejects_deleted_vertex(self):
         g = generate(FamilySpec("path", 4))
         with pytest.raises(ValueError, match="deleted"):
-            dismantlable_value(g, DismantlingOrdering(((0, 1), (1, 2))))
+            dismantling_strategy(g, DismantlingOrdering(((0, 1), (1, 2)))).searcher_count()
 
     def test_rejects_incomplete_ordering(self):
         g = generate(FamilySpec("path", 5))
         with pytest.raises(ValueError, match="remaining"):
-            dismantlable_value(g, DismantlingOrdering(((0, 1),)))
+            dismantling_strategy(g, DismantlingOrdering(((0, 1),))).searcher_count()
 
     def test_matches_oracle_when_ordering_exists(self):
         rng = random.Random(46)
@@ -284,7 +283,10 @@ class TestDismantlableValue:
             if o is None:
                 continue
             checked += 1
-            assert dismantlable_value(g, o) == czf_exact(g).value
+            strategy = dismantling_strategy(g, o)
+            assert strategy.searcher_count() == czf_exact(g).value
+            state = cfms_run(g, strategy)
+            assert state.success and state.ever_occupied == frozenset(range(g.n))
         assert checked >= 60
 
 

@@ -89,6 +89,33 @@ def test_private_names_read(path):
     assert unread == {}, f"{path.name} defines private names it never reads: {unread}"
 
 
+# Where src/ may replay a witness: solve, once for every result it
+# returns, and the entry points that report a witness without solve.
+CERTIFY_CALLERS = {
+    ("solver", "solve"),
+    ("families", "attach_trees_solve"),
+    ("families", "clique_construction_value"),
+    ("constructions", "cover_to_strategy"),
+    ("constructions", "subdivision_value"),
+}
+
+
+def test_certify_called_only_at_the_gates():
+    # A solver that solve routes to and that replayed its own witness
+    # would have it replayed twice.
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", f"line {stmt.lineno}")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                    if name == "certify":
+                        callers.add((path.stem, owner))
+    assert callers == CERTIFY_CALLERS
+
+
 @pytest.mark.parametrize("module, path", _traced(), ids=str)
 def test_traced_names_resolve(module, path):
     # The traced benchmark looks each name up in its owner's __dict__, so

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onemove import engines
+from onemove.cactus import CactusInstance, cactus_solve
 from onemove.engines import certify
 from onemove.exact import czf_exact
-from onemove.graphs import Graph, classify, connected_components, edge_key
+from onemove.families import dismantling_strategy, pendent_dismantle, tree_solve, unicyclic_solve
+from onemove.graphs import FamilySpec, Graph, classify, connected_components, edge_key, generate
 from onemove.solver import solve
 
 
@@ -88,3 +91,17 @@ def test_explicit_methods_match_exhaustive_search(g):
         sol = solve(g, method=method)
         assert (sol.method, sol.value) == (method, value)
         certify(g, sol.witness)
+
+
+def test_building_blocks_do_not_replay(count_calls):
+    # solve certifies each result once, so the solvers it routes to leave
+    # the replay to it.
+    replays = count_calls(engines.cfms_run)
+    bowtie = generate(FamilySpec("bowtie", 5))
+    spiky = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 5), (2, 6), (3, 7)])
+    tree_solve(generate(FamilySpec("star", 5)))
+    unicyclic_solve(generate(FamilySpec("cycle", 6)))
+    cactus_solve(CactusInstance(bowtie))
+    cactus_solve(CactusInstance(bowtie, frozenset({0, 3})))
+    dismantling_strategy(spiky, pendent_dismantle(spiky))
+    assert replays == []
