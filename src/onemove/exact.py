@@ -13,7 +13,9 @@ driver, _first_hit, which finds the first row in enumeration order whose
 process reaches every vertex.  The deduction search sends every total to
 that driver as layout count rows; its masks are 16-bit, so it takes at
 most 16 vertices.  Each oracle passes the driver its own firing step, so
-each still plays its own process.
+each still plays its own process.  The sliding search plays every
+placement set with its own scalar bitset step, _slides_clear, and
+replays only the winner through the engines.
 
 No oracle keeps a result between calls.  Three tables outlive a call:
 _fire_need, the 16-bit popcount the deduction sweep reads;
@@ -22,8 +24,8 @@ czf_value_table's _TABLE_CACHE of one value table per n <= 7.  Each
 depends only on its arguments, never on a graph searched before.
 
 numpy is imported inside the functions that use it, so only the vector
-sweeps and czf_value_table load it; the scalar forcing loop, and every
-solver outside this module, run without it.
+sweeps and czf_value_table load it; the scalar forcing loop, the
+sliding search and every solver outside this module run without it.
 """
 
 from __future__ import annotations
@@ -42,9 +44,11 @@ CZF_EXACT_CEILING = 24
 # from ceil(n/2) to n - 2 is swept in full.  It took 0.84 s at n = 13 and
 # 3.2 s at n = 14; G(n, p), p = 0.3..0.95, took at most 0.24 s at 13.
 D_EXACT_CEILING = 13
-# The same star is the sliding search's slowest input measured: 0.12-0.24 s
-# at n = 13 and 0.31-0.60 s at n = 14.
-CFMS_EXACT_CEILING = 13
+# The same star, center last, is the sliding search's slowest input
+# measured: 0.02-0.04 s at n = 13, 0.05-0.09 s at 14, 0.09-0.16 s at 15
+# and 0.23-0.39 s at 16.  G(15, p), p = 0.1..0.95, took at most 0.13 s,
+# and the edgeless 15-vertex graph 0.12 s.
+CFMS_EXACT_CEILING = 15
 MU_EXACT_CEILING = 16
 
 # Below this class size the scalar forcing loop beats the numpy setup
@@ -508,28 +512,77 @@ def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:
 # ---------------------------------------------------------------------------
 
 
+def _slides_clear(nbrs: list[int], full: int, occupied: int) -> bool:
+    """Whether searchers on the occupied mask, sliding while they can,
+    clear every edge and visit every vertex.
+
+    cont[v] holds v's contaminated neighbors, and ready the searchers
+    that have not slid.  Rounds take the ready searchers in index order:
+    one whose vertex u has a single contaminated neighbor w slides there,
+    and w clears its edges to every occupied neighbor, u included.  A
+    searcher left with no contaminated edge never slides, so it leaves
+    ready too.  Every maximal slide order clears the same edges (see
+    complete_with_slides), so this order decides success.
+    """
+    cont = [x & ~occupied if occupied >> v & 1 else x for v, x in enumerate(nbrs)]
+    ever = ready = occupied
+    progress = True
+    while progress:
+        progress = False
+        m = ready
+        while m:
+            b = m & -m
+            m ^= b
+            w = cont[b.bit_length() - 1]
+            if w & (w - 1):
+                continue
+            ready ^= b
+            if w:
+                x = w.bit_length() - 1
+                near = nbrs[x] & occupied
+                cont[x] &= ~near
+                while near:
+                    c = near & -near
+                    near ^= c
+                    cont[c.bit_length() - 1] ^= w
+                occupied ^= b | w
+                ever |= w
+                progress = True
+    return ever == full and not any(cont)
+
+
 def cfms_exact(g: Graph, preoccupied=frozenset(), *, force: bool = False) -> ParameterResult:
     """Minimum searchers whose placements extend to a clearing strategy.
 
-    A candidate placement set is completed greedily with slides and
-    accepted when all edges clear and every vertex was occupied at some
-    point (a searcher must visit even an edgeless vertex).  Pre-occupied
-    vertices contribute free searchers and are excluded from placement.
+    A candidate placement set, with the pre-occupied vertices' free
+    searchers added, is played by _slides_clear, which slides searchers
+    while any can slide, and accepted when all edges clear and every
+    vertex was occupied at some point (a searcher must visit even an
+    edgeless vertex).  Pre-occupied vertices are excluded from placement.
     The search starts at max(ceil(n/2), delta) - |pre| placements, delta
     the minimum degree: a searcher slides at most once, so it occupies at
     most two vertices, and every vertex must be occupied; at the first
     slide from u, u and every other neighbor of u are occupied, and with
-    no slide at all every vertex holds a searcher.  Refuses graphs above
-    CFMS_EXACT_CEILING unless force is given.
+    no slide at all every vertex holds a searcher.  The first success in
+    itertools.combinations order wins; complete_with_slides builds its
+    strategy, which is replayed once through cfms_run.  Refuses graphs
+    above CFMS_EXACT_CEILING unless force is given.
     """
     _check_ceiling("cfms_exact", g.n, CFMS_EXACT_CEILING, force)
     pre = frozenset(preoccupied)
+    if not pre <= set(range(g.n)):
+        raise ValueError(f"preoccupied vertices {sorted(pre - set(range(g.n)))} out of range")
     free = sorted(set(range(g.n)) - pre)
+    nbrs = adjacency_masks(g)
+    full = (1 << g.n) - 1
+    held = sum(1 << v for v in pre)
     floor = max((g.n + 1) // 2, min(map(len, g.adjacency()), default=0))
     for s in range(max(0, floor - len(pre)), len(free) + 1):
         for combo in itertools.combinations(free, s):
-            strategy = complete_with_slides(g, combo, preoccupied=pre)
-            if cfms_run(g, strategy, preoccupied=pre).succeeded(g):
+            if _slides_clear(nbrs, full, held | sum(1 << v for v in combo)):
+                strategy = complete_with_slides(g, combo, preoccupied=pre)
+                if not cfms_run(g, strategy, preoccupied=pre).succeeded(g):
+                    raise RuntimeError(f"sliding step and cfms_run disagree on {combo}; this is a bug")
                 return ParameterResult(s, strategy, "exact")
     raise AssertionError("placing searchers everywhere always clears the graph")
 

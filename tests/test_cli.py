@@ -243,6 +243,15 @@ class TestVerify:
         assert code == 0
         assert report["oracle"]["name"] == "cfms_exact"
 
+    def test_preoccupied_ring_of_fifteen_certified(self, capsys, tmp_path):
+        # 15 vertices, the sliding oracle's ceiling: certified without --force.
+        ring = [f"{i} {(i + 1) % 15}" for i in range(15)]
+        path = write(tmp_path, "c15.el", "\n".join(["15 15", *ring, "preoccupied 0 5"]) + "\n")
+        code, out, _ = run(capsys, "verify", "--input", path)
+        report = json.loads(out)
+        assert (code, report["method"], report["agree"]) == (0, "cactus", True)
+        assert report["oracle"] == {"name": "cfms_exact", "value": report["value"]}
+
     def test_oracle_ceilings_refuse(self, capsys, tmp_path):
         n = D_EXACT_CEILING + 1
         pairs = [f"{u} {v}" for u in range(n) for v in range(u + 1, n)]

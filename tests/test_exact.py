@@ -6,11 +6,12 @@ import random
 import time
 import tracemalloc
 from math import comb
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onemove import exact
@@ -388,6 +389,12 @@ class TestPreoccupied:
         res = cfms_exact(g, preoccupied=frozenset({0, 1}))
         assert res.value == 0
 
+    def test_out_of_range_rejected(self):
+        # The search itself never meets the stray vertex, so it is refused
+        # up front instead of every placement set failing.
+        with pytest.raises(ValueError, match="out of range"):
+            cfms_exact(generate(FamilySpec("path", 3)), preoccupied=frozenset({0, 3}))
+
 
 def test_parameter_result_shape():
     g = generate(FamilySpec("path", 3))
@@ -530,6 +537,23 @@ class TestAgainstReferences:
         assert cfms_exact(g) == reference_cfms(g)
         assert cfms_exact(g, pre) == reference_cfms(g, pre)
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    @example((Graph(5, frozenset()), frozenset({1, 3})))
+    @example((Graph(6, frozenset({(0, 1), (1, 2), (0, 2), (3, 4)})), frozenset({0})))
+    def test_sliding_step_plays_the_engines(self, inst):
+        # On every placement set, not only the first hit: the bitset step
+        # and the engines' greedy completion agree on success.
+        g, pre = inst
+        nbrs, full = adjacency_masks(g), (1 << g.n) - 1
+        held = sum(1 << v for v in pre)
+        free = sorted(set(range(g.n)) - pre)
+        for s in range(len(free) + 1):
+            for combo in itertools.combinations(free, s):
+                state = cfms_run(g, complete_with_slides(g, combo, pre), pre)
+                mask = held | sum(1 << v for v in combo)
+                assert exact._slides_clear(nbrs, full, mask) == state.succeeded(g), combo
+
 
 class TestForcingSearch:
     @pytest.mark.parametrize(
@@ -620,10 +644,12 @@ class TestMinDegreeFloor:
         g = generate(FamilySpec("complete", 6))
         closures = count_calls(exact._czf_closure_mask)
         sweeps = count_calls(exact._first_layout)
+        slides = count_calls(exact._slides_clear)
         completions = count_calls(complete_with_slides)
         assert czf_exact(g).value == d_exact(g).value == cfms_exact(g).value == 5
         assert min(bin(args[1]).count("1") for args in closures) == 5
         assert min(args[2] for args in sweeps) == 5
+        assert min(args[2].bit_count() for args in slides) == 5
         assert min(len(args[1]) for args in completions) == 5
 
 
@@ -653,10 +679,36 @@ class TestOracleCost:
         assert len(games) == 1
 
     def test_cfms_search_starts_at_half(self, count_calls):
+        slides = count_calls(exact._slides_clear)
         completions = count_calls(complete_with_slides)
         assert cfms_exact(generate(FamilySpec("cycle", 6))).value == 3
-        assert completions
+        assert slides
+        assert min(args[2].bit_count() for args in slides) >= 3
         assert min(len(args[1]) for args in completions) >= 3
+
+    @pytest.mark.parametrize(
+        "g, pre",
+        [
+            (worked_graph(), frozenset()),
+            (generate(FamilySpec("cycle", 6)), frozenset({0, 2})),
+            (Graph(7, frozenset((v, 6) for v in range(6))), frozenset()),
+        ],
+        ids=["worked", "C6-preoccupied", "star"],
+    )
+    def test_cfms_replays_only_the_winner(self, count_calls, g, pre):
+        # The first placement set fails on C6 and on the star (center
+        # last), so replaying each candidate would run the engines again.
+        completions = count_calls(complete_with_slides)
+        runs = count_calls(cfms_run)
+        res = cfms_exact(g, pre)
+        assert (len(completions), len(runs)) == (1, 1)
+        assert cfms_run(g, res.witness, pre).succeeded(g)
+
+    def test_cfms_replay_failure_raises(self, monkeypatch):
+        failed = SimpleNamespace(succeeded=lambda g: False)
+        monkeypatch.setattr(exact, "cfms_run", lambda *args, **kwargs: failed)
+        with pytest.raises(RuntimeError, match="bug"):
+            cfms_exact(worked_graph())
 
     @pytest.mark.parametrize(
         "g",

@@ -116,6 +116,28 @@ def test_certify_called_only_at_the_gates():
     assert callers == CERTIFY_CALLERS
 
 
+def test_sliding_oracle_stays_off_the_other_oracles_paths():
+    # cfms_exact, and every exact.py function it reaches, names neither
+    # the deduction search's code nor numpy, so the oracles stay
+    # independent and the sliding search loads nothing at run time.
+    tree = ast.parse((ROOT / "src" / "onemove" / "exact.py").read_text())
+    defs = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    names, todo = {}, ["cfms_exact"]
+    while todo:
+        owner = todo.pop()
+        for node in ast.walk(defs[owner]):
+            found = [node.id] if isinstance(node, ast.Name) else []
+            found += [node.attr] if isinstance(node, ast.Attribute) else []
+            found += [alias.name for alias in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+            for name in found:
+                if name in defs and name not in names:
+                    todo.append(name)
+                names.setdefault(name, owner)
+    assert "_slides_clear" in names
+    banned = {"d_exact", "_first_hit", "_first_layout", "numpy", "np"}
+    assert {name: owner for name, owner in names.items() if name in banned} == {}
+
+
 @pytest.mark.parametrize("module, path", _traced(), ids=str)
 def test_traced_names_resolve(module, path):
     # The traced benchmark looks each name up in its owner's __dict__, so
@@ -142,7 +164,7 @@ def test_all_names_exist(path):
 
 
 # Run in a fresh interpreter: prints the heavy modules loaded after
-# importing the CLI and after each solve, in order, as JSON.
+# importing the CLI and after each command, in order, as JSON.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
@@ -150,7 +172,7 @@ from onemove import cli
 seen = [("import", None, None, [m for m in HEAVY if m in sys.modules])]
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.main(["solve", *argv])
+        code = cli.main(argv)
     method = json.loads(out.getvalue())["method"] if code == 0 else None
     seen.append((name, code, method, [m for m in HEAVY if m in sys.modules]))
 print(json.dumps(seen))
@@ -159,7 +181,9 @@ print(json.dumps(seen))
 
 def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
     # numpy serves only the exhaustive searches' vector sweeps and
-    # czf_value_table, and the process pool only probe --jobs.
+    # czf_value_table, and the process pool only probe --jobs.  verify on
+    # a preoccupied cactus runs the cactus solver and the sliding oracle,
+    # which use neither.
     k4_corona = [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(v, v + 4) for v in range(4)]
     graphs = {
         "tree": generate(FamilySpec("star", 9)),
@@ -176,8 +200,11 @@ def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
     for name, g in graphs.items():
         path = tmp_path / f"{name}.el"
         path.write_text(write_edge_list(g))
-        argv = ["--input", str(path)]
+        argv = ["solve", "--input", str(path)]
         runs.append((name, argv + (["--method", "exact"] if name.startswith("exact") else [])))
+    path = tmp_path / "verify-preoccupied.el"
+    path.write_text(write_edge_list(graphs["cactus"]) + "preoccupied 0 3\n")
+    runs.insert(3, ("verify-preoccupied", ["verify", "--input", str(path)]))
     pythonpath = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=pythonpath)
     done = subprocess.run(
@@ -190,6 +217,7 @@ def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
         ["tree", 0, "tree", []],
         ["unicyclic", 0, "unicyclic", []],
         ["cactus", 0, "cactus", []],
+        ["verify-preoccupied", 0, "cactus", []],
         ["dismantle", 0, "dismantle", []],
         ["exact-scalar", 0, "exact", []],
         # The check above is not vacuous: the vector sweep does load numpy.
