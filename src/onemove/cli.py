@@ -1,10 +1,10 @@
-"""Command line front end.
+"""Command line front end: parse arguments, read files, print, exit.
 
-solve hands an edge list to the library solver and emits a JSON report
-whose witness has already been replayed.  simulate renders stage traces
-of the three processes.  verify cross-checks a solver against an
-independent oracle.  generate, reduce, and probe produce family members,
-reduction instances, and edge-edit measurements.
+solve and verify print the JSON form of solver.Report, from solver.solve
+and solver.verify (which adds an independent oracle), plus the run time
+in ms.  simulate renders stage traces of the three processes; the
+sliding one steps engines.Clearing.  generate, reduce, and probe produce
+family members, reduction instances, and edge-edit measurements.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from .constructions import (
     write_reduction,
 )
 from .deduction import Layout, run_deduction
-from .engines import Strategy, _Clearing, czf_run
-from .exact import cfms_exact, czf_exact, d_exact
+from .engines import Clearing, Strategy, czf_run
 from .families import CliqueConstruction
 from .graphs import FAMILY_KINDS, FamilySpec, Graph, generate, parse_edge_list, write_edge_list
-from .solver import METHODS, solve
+from .solver import METHODS, Report, solve, verify
 
 log = logging.getLogger(__name__)
 
@@ -71,7 +70,7 @@ def _read_text(path: str) -> str:
 
 def _read_instance(path: str) -> tuple[Graph, frozenset[int]]:
     """An edge list, and the preoccupied vertices when that line appears;
-    solve validates them as a cactus instance."""
+    solve validates them as a cactus instance, simulate by range."""
     body, pre = split_preoccupied(_read_text(path))
     return parse_edge_list(body), pre or frozenset()
 
@@ -106,31 +105,6 @@ def _read_certificate(path: str) -> CliqueConstruction:
 # ---------------------------------------------------------------------------
 
 
-def _witness_json(witness, preoccupied: frozenset[int]) -> dict:
-    if isinstance(witness, Strategy):
-        payload = {"kind": "strategy", "actions": [list(a) for a in witness.actions]}
-        if preoccupied:
-            payload["preoccupied"] = sorted(preoccupied)
-        return payload
-    if isinstance(witness, Layout):
-        return {"kind": "layout", "counts": {str(v): c for v, c in sorted(witness.counts.items())}}
-    return {"kind": "forcing-set", "vertices": sorted(witness)}
-
-
-def _oracle(g: Graph, pre: frozenset[int], method: str, force: bool) -> tuple[str, int]:
-    """Name and value of the exhaustive oracle that verify compares against.
-
-    The oracle refuses an input past its ceiling itself, before it starts.
-    """
-    if pre:
-        return "cfms_exact", cfms_exact(g, pre, force=force).value
-    if method == "exact":
-        # czf_exact was the solver, so the independent check is the
-        # deduction oracle.
-        return "d_exact", d_exact(g, force=force).value
-    return "czf_exact", czf_exact(g, force=force).value
-
-
 def _cmd_solve(args) -> int:
     """solve, and verify, which adds the oracle cross-check to the report."""
     g, pre = _read_instance(args.input)
@@ -138,23 +112,13 @@ def _cmd_solve(args) -> int:
     if args.method == "clique" and args.certificate is None:
         raise UsageError("--method clique needs --certificate")
     construction = _read_certificate(args.certificate) if args.method == "clique" else None
-    sol = solve(g, pre, args.method, construction=construction, force=args.force)
-    for line in sol.trace:
-        log.info("cactus rule: %s", line)
-    report = {
-        "parameter": "additional-searchers" if pre else "czf",
-        "value": sol.value,
-        "method": sol.method,
-    }
     if args.command == "verify":
-        oracle_name, oracle = _oracle(g, pre, sol.method, args.force)
-        report["oracle"] = {"name": oracle_name, "value": oracle}
-        report["agree"] = sol.value == oracle
-    report["witness"] = _witness_json(sol.witness, pre)
-    report["ms"] = (time.perf_counter() - start) * 1000.0
-    print(json.dumps(report))
-    if report.get("agree") is False:
-        print(f"solver {sol.method} disagrees with {report['oracle']['name']}", file=sys.stderr)
+        report = verify(g, pre, args.method, construction=construction, force=args.force)
+    else:
+        report = Report(solve(g, pre, args.method, construction=construction, force=args.force), pre)
+    print(json.dumps({**report.to_json(), "ms": (time.perf_counter() - start) * 1000.0}))
+    if report.agree is False:
+        print(f"solver {report.result.method} disagrees with {report.oracle[0]}", file=sys.stderr)
         return INTERNAL_EXIT
     return 0
 
@@ -191,8 +155,8 @@ def _simulate_deduction(g: Graph, layout: Layout, policy: str, seed) -> None:
         print("stranded:", " ".join(map(str, sorted(set(range(g.n)) - state.protected))))
 
 
-def _simulate_cfms(g: Graph, strategy: Strategy) -> None:
-    run = _Clearing(g)
+def _simulate_cfms(g: Graph, strategy: Strategy, preoccupied: frozenset[int]) -> None:
+    run = Clearing(g, preoccupied)
     for i, act in enumerate(strategy.actions):
         fresh = sorted(run.apply(act, i))
         label = " ".join(map(str, act))
@@ -201,7 +165,7 @@ def _simulate_cfms(g: Graph, strategy: Strategy) -> None:
         else:
             print(f"{label}: clears nothing")
     state = run.state()
-    if state.success:
+    if len(state.cleared_edges) == g.m:
         print("cleared: all")
     else:
         print(f"cleared: {len(state.cleared_edges)}/{g.m}")
@@ -212,21 +176,22 @@ def _simulate_cfms(g: Graph, strategy: Strategy) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    g = parse_edge_list(_read_text(args.input))
+    g, pre = _read_instance(args.input)
     if args.model == "cfms":
         if args.strategy is None:
             raise UsageError("--model cfms needs --strategy")
-        _simulate_cfms(g, Strategy.from_text(args.strategy))
+        _simulate_cfms(g, Strategy.from_text(args.strategy), pre)
         return 0
+    if pre:
+        raise ValueError(f"--model {args.model} takes no preoccupied line")
     if args.layout is None:
         raise UsageError(f"--model {args.model} needs --layout")
     layout = _parse_layout_csv(args.layout)
     if args.model == "czf":
         _simulate_czf(g, layout)
     else:
-        policy = _POLICY_NAMES[args.policy]
-        seed = args.seed if args.policy == "random" else None
-        _simulate_deduction(g, layout, policy, seed)
+        # run_deduction reads the seed only under the random policy.
+        _simulate_deduction(g, layout, _POLICY_NAMES[args.policy], args.seed)
     return 0
 
 
@@ -237,17 +202,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_generate(args) -> int:
     kind = args.family
-    if kind in _SIZED_BY_N:
-        if args.n is None:
-            raise UsageError(f"family {kind!r} needs --n")
-        spec = FamilySpec(kind, args.n)
-    elif kind in _SIZED_BY_M:
-        if args.m is None:
-            raise UsageError(f"family {kind!r} needs --m")
-        spec = FamilySpec(kind, args.m)
-    else:
-        spec = FamilySpec(kind)
-    print(write_edge_list(generate(spec)), end="")
+    flag = "n" if kind in _SIZED_BY_N else "m" if kind in _SIZED_BY_M else None
+    size = getattr(args, flag) if flag else None
+    if flag and size is None:
+        raise UsageError(f"family {kind!r} needs --{flag}")
+    print(write_edge_list(generate(FamilySpec(kind, size))), end="")
     return 0
 
 

@@ -20,6 +20,7 @@ from .graphs import (
     FamilySpec,
     Graph,
     alternating_places,
+    classify,
     connected_components,
     edge_key,
     edit_edge,
@@ -180,38 +181,27 @@ def write_reduction(inst: ReductionInstance) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _find_cycle(g: Graph) -> list[int]:
-    """Some cycle of g in traversal order, or ValueError if g is a forest."""
-    adj = g.adjacency()
-    parent = [-1] * g.n
-    state = [0] * g.n
-    for root in range(g.n):
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent[v]:
-                    continue
-                if state[w] == 1:
-                    cycle = [v]
-                    x = v
-                    while x != w:
-                        x = parent[x]
-                        cycle.append(x)
-                    return cycle
-                if state[w] == 0:
-                    parent[w] = v
-                    state[w] = 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
+def _find_cycle(g: Graph) -> tuple[int, ...]:
+    """Some cycle of g in cyclic order, or ValueError if g is a forest.
+
+    The edges before the first one, in sorted order, whose ends they
+    already join form a forest; with that edge they hold exactly one
+    cycle, which classify walks.
+    """
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    edges = g.sorted_edges()
+    for i, (u, v) in enumerate(edges):
+        a, b = find(u), find(v)
+        if a == b:
+            return classify(Graph(g.n, edges[: i + 1])).cycles[0]
+        root[a] = b
     raise ValueError("graph has no cycle")
 
 

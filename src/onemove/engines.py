@@ -2,9 +2,9 @@
 
 Both processes share the one-move discipline of the deduction game: a
 colored vertex forces at most once, a searcher slides at most once.
-The sliding model's clearing rule lives in one stepper, _Clearing, which
-cfms_run, complete_with_slides and the CLI's simulate all drive; each
-action costs time in the degree of the vertex that gains a searcher.
+The sliding model's clearing rule lives in one public stepper, Clearing,
+which cfms_run, complete_with_slides and the CLI's simulate all drive;
+each action costs time in the degree of the vertex that gains a searcher.
 """
 
 from __future__ import annotations
@@ -162,25 +162,26 @@ class CfmsState:
 
     moved holds vertices whose current searcher has already slid.  An edge
     clears when both endpoints hold searchers or when a searcher slides
-    along it; success means every edge cleared.
+    along it.
     """
 
     occupied: frozenset[int]
     moved: frozenset[int]
     cleared_edges: frozenset[Edge]
     ever_occupied: frozenset[int]
-    success: bool
 
     def succeeded(self, g: Graph) -> bool:
         """Every edge cleared and every vertex held a searcher at some point."""
-        return self.success and len(self.ever_occupied) == g.n
+        return len(self.cleared_edges) == g.m and len(self.ever_occupied) == g.n
 
 
-class _Clearing:
+class Clearing:
     """The sliding model's clearing rule, applied one action at a time.
 
-    contaminated[v] counts the uncleared edges at v, so an action looks
-    only at the neighbors of the vertex that gains a searcher.
+    place, slide and apply return the edges an action cleared, or raise
+    StrategyError; state() snapshots the run.  contaminated[v] counts the
+    uncleared edges at v, so an action looks only at the neighbors of the
+    vertex that gains a searcher.
     """
 
     def __init__(self, g: Graph, preoccupied=frozenset()) -> None:
@@ -257,7 +258,6 @@ class _Clearing:
             moved=frozenset(self.moved),
             cleared_edges=frozenset(self.cleared),
             ever_occupied=frozenset(self.ever),
-            success=len(self.cleared) == self.g.m,
         )
 
 
@@ -269,7 +269,7 @@ def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState
     preoccupied start out holding a fresh searcher each.  Illegal actions
     raise StrategyError naming the zero-based action index.
     """
-    run = _Clearing(g, preoccupied)
+    run = Clearing(g, preoccupied)
     for i, act in enumerate(strategy.actions):
         run.apply(act, i)
     return run.state()
@@ -286,7 +286,7 @@ def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
     place_list = sorted(set(places))
     if set(preoccupied) & set(place_list):
         raise ValueError("placement overlaps preoccupied vertices")
-    run = _Clearing(g, preoccupied)
+    run = Clearing(g, preoccupied)
     for i, v in enumerate(place_list):
         run.place(v, i)
     actions: list[tuple] = [("place", v) for v in place_list]

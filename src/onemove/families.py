@@ -247,36 +247,22 @@ def clique_construction_value(g: Graph, c: CliqueConstruction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tree_children(h: Graph, members: frozenset[int], root: int) -> dict[int, list[int]]:
-    """Child lists of the induced tree on members, rooted at root.
-
-    Raises if the induced subgraph is not a tree.
-    """
+def _has_odd_leaf(h: Graph, members: frozenset[int], root: int) -> bool:
+    """Whether the tree induced on members has a leaf at odd distance from
+    root.  Raises if the induced subgraph is not a tree."""
     adj = h.adjacency()
-    children: dict[int, list[int]] = {root: []}
+    depth = {root: 0}
     frontier = [root]
     while frontier:
         v = frontier.pop()
-        for w in sorted(adj[v]):
-            if w in members and w not in children:
-                children[w] = []
-                children[v].append(w)
+        for w in adj[v]:
+            if w in members and w not in depth:
+                depth[w] = depth[v] + 1
                 frontier.append(w)
-    inner_edges = sum(1 for u in members for w in adj[u] if w in members) // 2
-    if len(children) != len(members) or inner_edges != len(members) - 1:
+    inner = {u: sum(1 for w in adj[u] if w in members) for u in members}
+    if len(depth) != len(members) or sum(inner.values()) != 2 * (len(members) - 1):
         raise ValueError(f"attachment at vertex {root} does not induce a tree")
-    return children
-
-
-def _has_odd_leaf(children: dict[int, list[int]], root: int) -> bool:
-    depth = {root: 0}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in children[v]:
-            depth[w] = depth[v] + 1
-            stack.append(w)
-    return any(not children[v] and depth[v] % 2 == 1 for v in children)
+    return any(depth[v] % 2 == 1 and inner[v] == 1 for v in depth)
 
 
 def attach_trees_solve(g: Graph, h: Graph, attachment: dict[int, frozenset[int]]) -> ParameterResult:
@@ -322,7 +308,7 @@ def attach_trees_solve(g: Graph, h: Graph, attachment: dict[int, frozenset[int]]
 
     for v in range(g.n):
         members = frozenset({v} | set(attachment.get(v, frozenset())))
-        if not _has_odd_leaf(_tree_children(h, members, v), v):
+        if not _has_odd_leaf(h, members, v):
             raise ValueError(f"tree attached at vertex {v} has no leaf at odd distance from it")
 
     pairs, residual = peel_pendants(h)

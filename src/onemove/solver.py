@@ -2,15 +2,19 @@
 
 The solvers that solve routes to do not replay their witnesses; solve
 passes every result through engines.certify once before returning it.
+verify adds an independent exhaustive oracle, and Report owns the JSON
+form that the CLI's solve and verify print.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 from .cactus import CactusInstance, cactus_solve
-from .engines import certify
-from .exact import ParameterResult, czf_exact
+from .deduction import Layout
+from .engines import Strategy, certify
+from .exact import ParameterResult, cfms_exact, czf_exact, d_exact
 from .families import (
     CliqueConstruction,
     DismantlingOrdering,
@@ -88,4 +92,65 @@ def solve(
     else:
         result = czf_exact(g, force=force)
     certify(g, result.witness, pre)
+    for line in result.trace:
+        log.info("cactus rule: %s", line)
     return result
+
+
+@dataclass(frozen=True)
+class Report:
+    """A certified result, its preoccupied vertices and verify's oracle (name, value)."""
+
+    result: ParameterResult
+    preoccupied: frozenset[int] = frozenset()
+    oracle: tuple[str, int] | None = None
+
+    @property
+    def agree(self) -> bool | None:
+        """Whether the oracle matches the result; None without an oracle."""
+        return None if self.oracle is None else self.result.value == self.oracle[1]
+
+    def to_json(self) -> dict:
+        """The JSON object; keys parameter, value, method, [oracle, agree], witness."""
+        r, w = self.result, self.result.witness
+        out = {
+            "parameter": "additional-searchers" if self.preoccupied else "czf",
+            "value": r.value,
+            "method": r.method,
+        }
+        if self.oracle is not None:
+            out["oracle"] = {"name": self.oracle[0], "value": self.oracle[1]}
+            out["agree"] = self.agree
+        if isinstance(w, Strategy):
+            out["witness"] = {"kind": "strategy", "actions": [list(a) for a in w.actions]}
+            if self.preoccupied:
+                out["witness"]["preoccupied"] = sorted(self.preoccupied)
+        elif isinstance(w, Layout):
+            counts = {str(v): c for v, c in sorted(w.counts.items())}
+            out["witness"] = {"kind": "layout", "counts": counts}
+        else:
+            out["witness"] = {"kind": "forcing-set", "vertices": sorted(w)}
+        return out
+
+
+def verify(
+    g: Graph,
+    preoccupied=frozenset(),
+    method: str = "auto",
+    *,
+    construction: CliqueConstruction | None = None,
+    force: bool = False,
+) -> Report:
+    """solve, then an exhaustive oracle that shares no code with the solver
+    that ran: cfms_exact with preoccupied vertices, d_exact after the exact
+    method, czf_exact otherwise.  Past its ceiling, unless forced, the
+    oracle raises ValueError before it starts."""
+    pre = frozenset(preoccupied)
+    result = solve(g, pre, method, construction=construction, force=force)
+    if pre:
+        oracle = "cfms_exact", cfms_exact(g, pre, force=force).value
+    elif result.method == "exact":
+        oracle = "d_exact", d_exact(g, force=force).value
+    else:
+        oracle = "czf_exact", czf_exact(g, force=force).value
+    return Report(result, pre, oracle)

@@ -122,7 +122,7 @@ def random_cactus(rng, n):
 
 def strategy_clears(g, strategy, pre=frozenset()):
     state = cfms_run(g, strategy, preoccupied=pre)
-    return state.success and state.ever_occupied == frozenset(range(g.n))
+    return state.succeeded(g)
 
 
 _CORPUS = {}

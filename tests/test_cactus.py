@@ -57,7 +57,7 @@ def solve_pre(g, pre=frozenset()):
 
 def plan_clears(g, plan, pre):
     state = cfms_run(g, plan.witness, preoccupied=pre)
-    return state.success and state.ever_occupied == frozenset(range(g.n))
+    return state.succeeded(g)
 
 
 def pinned_ring_clears(occupied):
@@ -65,7 +65,7 @@ def pinned_ring_clears(occupied):
     position 0 may not slide: the engine's clearing rule, sliding the
     lowest ready searcher until none is ready."""
     ring = len(occupied)
-    run = engines._Clearing(cycle_graph(ring))
+    run = engines.Clearing(cycle_graph(ring))
     for i, p in enumerate(p for p in range(ring) if occupied[p]):
         run.place(p, i)
     run.moved.add(0)
@@ -114,7 +114,7 @@ class TestPathSolve:
                     value, strategy = solve_pre(g, pre)
                     assert value == cfms_exact(g, preoccupied=pre).value
                     state = cfms_run(g, strategy, preoccupied=pre)
-                    assert state.success
+                    assert state.succeeded(g)
 
     def test_disjoint_paths_sum(self):
         g = Graph(5, [(0, 1), (3, 4)])
@@ -143,8 +143,8 @@ class TestCycleSolve:
         # next to either breaks the standoff.
         value, strategy = solve_pre(cycle_graph(4), {1, 3})
         assert value == 1
-        state = cfms_run(cycle_graph(4), strategy, preoccupied=frozenset({1, 3}))
-        assert state.success
+        g = cycle_graph(4)
+        assert cfms_run(g, strategy, preoccupied=frozenset({1, 3})).succeeded(g)
 
     def test_long_cycle_within_budget(self):
         # Copying each scan state's choices at every ring position made
@@ -182,7 +182,7 @@ class TestCycleSolve:
                     value, strategy = solve_pre(g, pre)
                     assert value == cfms_exact(g, preoccupied=pre).value
                     state = cfms_run(g, strategy, preoccupied=pre)
-                    assert state.success
+                    assert state.succeeded(g)
 
 
 class TestCactusSolve:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from onemove import cli, engines, families
+from onemove import cli, engines, families, solver
 from onemove.engines import Strategy, cfms_run
 from onemove.exact import CFMS_EXACT_CEILING, D_EXACT_CEILING, czf_exact
 from onemove.graphs import Graph, parse_edge_list
@@ -21,6 +21,7 @@ C4_PRE = "4 4\n0 1\n1 2\n2 3\n0 3\npreoccupied 1 3\n"
 # Two joined cliques {0, 1} and {2, 3}, and a construction that builds them.
 CHAIN = "4 4\n0 1\n1 2\n1 3\n2 3\n"
 CHAIN_CERT = json.dumps({"cliques": [[0, 1], [2, 3]], "anchors": [0, 2], "attachments": [[1]]})
+C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
 
 
 def run(capsys, *argv):
@@ -47,7 +48,7 @@ class TestSolve:
         assert set(report) == {"parameter", "value", "method", "witness", "ms"}
 
     def test_cycle_routes_to_unicyclic(self, capsys, tmp_path):
-        path = write(tmp_path, "c6.el", "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+        path = write(tmp_path, "c6.el", C6)
         code, out, _ = run(capsys, "solve", "--input", path)
         report = json.loads(out)
         assert (code, report["value"], report["method"]) == (0, 3, "unicyclic")
@@ -76,8 +77,8 @@ class TestSolve:
         _, out, _ = run(capsys, "solve", "--input", path)
         report = json.loads(out)
         strategy = Strategy(tuple(tuple(a) for a in report["witness"]["actions"]))
-        state = cfms_run(parse_edge_list(BOWTIE), strategy)
-        assert state.success
+        g = parse_edge_list(BOWTIE)
+        assert cfms_run(g, strategy).succeeded(g)
 
     def test_preoccupied_instance(self, capsys, tmp_path):
         path = write(tmp_path, "c4pre.el", C4_PRE)
@@ -138,7 +139,7 @@ class TestSolve:
 
     def test_replay_failure_is_internal_error(self, capsys, tmp_path, monkeypatch):
         path = write(tmp_path, "star.el", "5 4\n0 1\n0 2\n0 3\n0 4\n")
-        broken = SimpleNamespace(success=False, ever_occupied=frozenset(), succeeded=lambda g: False)
+        broken = SimpleNamespace(succeeded=lambda g: False)
         monkeypatch.setattr(engines, "cfms_run", lambda *a, **k: broken)
         code, _, err = run(capsys, "solve", "--input", path)
         assert code == 3
@@ -148,7 +149,7 @@ class TestSolve:
         "text, method",
         [
             ("5 4\n0 1\n0 2\n0 3\n0 4\n", "tree"),
-            ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n", "unicyclic"),
+            (C6, "unicyclic"),
             (BOWTIE, "cactus"),
             (C4_PRE, "cactus"),
             (SPIKY, "dismantle"),
@@ -272,7 +273,7 @@ class TestVerify:
 
     def test_disagreement_exits_three(self, capsys, tmp_path, monkeypatch):
         path = write(tmp_path, "worked.el", WORKED)
-        monkeypatch.setattr(cli, "d_exact", lambda g, force=False: SimpleNamespace(value=99))
+        monkeypatch.setattr(solver, "d_exact", lambda g, force=False: SimpleNamespace(value=99))
         code, out, err = run(capsys, "verify", "--input", path)
         assert code == 3
         assert json.loads(out)["agree"] is False
@@ -364,6 +365,22 @@ class TestSimulate:
         assert code == 2
         assert "action 2" in err
         assert len(replays) <= 1
+
+    def test_cfms_replays_solves_preoccupied_witness(self, capsys, tmp_path):
+        path = write(tmp_path, "c4pre.el", C4_PRE)
+        _, out, _ = run(capsys, "solve", "--input", path)
+        actions = json.loads(out)["witness"]["actions"]
+        strategy = "; ".join(" ".join(map(str, a)) for a in actions)
+        code, out, err = run(capsys, "simulate", "--input", path, "--model", "cfms", "--strategy", strategy)
+        assert (code, err) == (0, "")
+        assert out == "place 0: clears (0,1) (0,3)\nslide 1 2: clears (1,2) (2,3)\ncleared: all\nsuccess: true\n"
+
+    @pytest.mark.parametrize("model", ["czf", "deduction"])
+    def test_preoccupied_line_refused_without_searchers(self, capsys, tmp_path, model):
+        path = write(tmp_path, "c4pre.el", C4_PRE)
+        code, out, err = run(capsys, "simulate", "--input", path, "--model", model, "--layout", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: --model {model} takes no preoccupied line\n"
 
     def test_invalid_layout_is_parse_error(self, capsys, tmp_path):
         path = write(tmp_path, "k2.el", "2 1\n0 1\n")
@@ -476,3 +493,118 @@ class TestProbe:
         assert code == 0
         assert sizes == ([] if expected is None else [expected])
         assert json.loads(out)["results"] == json.loads(serial)["results"]
+
+
+# The wire format byte for byte: key order, separators, witness forms.
+C6_ACTIONS = '[["place", 0], ["place", 1], ["place", 3], ["slide", 0, 5], ["slide", 1, 2], ["slide", 3, 4]]'
+BOWTIE_ACTIONS = '[["place", 0], ["place", 2], ["place", 3], ["slide", 0, 1], ["slide", 2, 4]]'
+SPIKY_ACTIONS = (
+    '[["place", 3], ["place", 4], ["place", 5], ["place", 6], '
+    '["slide", 4, 0], ["slide", 5, 1], ["slide", 6, 2], ["slide", 3, 7]]'
+)
+GOLDEN_REPORTS = [
+    (
+        C6,
+        '{"parameter": "czf", "value": 3, "method": "unicyclic", ',
+        '"oracle": {"name": "czf_exact", "value": 3}, "agree": true, ',
+        '"witness": {"kind": "strategy", "actions": ' + C6_ACTIONS + "}",
+    ),
+    (
+        BOWTIE,
+        '{"parameter": "czf", "value": 3, "method": "cactus", ',
+        '"oracle": {"name": "czf_exact", "value": 3}, "agree": true, ',
+        '"witness": {"kind": "strategy", "actions": ' + BOWTIE_ACTIONS + "}",
+    ),
+    (
+        C4_PRE,
+        '{"parameter": "additional-searchers", "value": 1, "method": "cactus", ',
+        '"oracle": {"name": "cfms_exact", "value": 1}, "agree": true, ',
+        '"witness": {"kind": "strategy", "actions": [["place", 0], ["slide", 1, 2]], "preoccupied": [1, 3]}',
+    ),
+    (
+        SPIKY,
+        '{"parameter": "czf", "value": 4, "method": "dismantle", ',
+        '"oracle": {"name": "czf_exact", "value": 4}, "agree": true, ',
+        '"witness": {"kind": "strategy", "actions": ' + SPIKY_ACTIONS + "}",
+    ),
+    (
+        WORKED,
+        '{"parameter": "czf", "value": 4, "method": "exact", ',
+        '"oracle": {"name": "d_exact", "value": 4}, "agree": true, ',
+        '"witness": {"kind": "forcing-set", "vertices": [0, 1, 2, 3]}',
+    ),
+    (
+        CHAIN,
+        '{"parameter": "czf", "value": 2, "method": "clique", ',
+        '"oracle": {"name": "czf_exact", "value": 2}, "agree": true, ',
+        '"witness": {"kind": "layout", "counts": {"1": 1, "3": 1}}',
+    ),
+]
+GOLDEN_SIMULATIONS = [
+    (
+        C6, ["--model", "cfms", "--strategy", "place 0; place 1; place 3; slide 0 5; slide 1 2; slide 3 4"],
+        "place 0: clears nothing\nplace 1: clears (0,1)\nplace 3: clears nothing\n"
+        "slide 0 5: clears (0,5)\nslide 1 2: clears (1,2) (2,3)\nslide 3 4: clears (3,4) (4,5)\n"
+        "cleared: all\nsuccess: true\n",
+    ),
+    (
+        BOWTIE, ["--model", "cfms", "--strategy", "place 0; place 2; place 3; slide 0 1; slide 2 4"],
+        "place 0: clears nothing\nplace 2: clears (0,2)\nplace 3: clears (2,3)\n"
+        "slide 0 1: clears (0,1) (1,2)\nslide 2 4: clears (2,4) (3,4)\ncleared: all\nsuccess: true\n",
+    ),
+    (
+        SPIKY,
+        ["--model", "cfms", "--strategy",
+         "place 3; place 4; place 5; place 6; slide 4 0; slide 5 1; slide 6 2; slide 3 7"],
+        "place 3: clears nothing\nplace 4: clears nothing\nplace 5: clears nothing\nplace 6: clears nothing\n"
+        "slide 4 0: clears (0,3) (0,4)\nslide 5 1: clears (0,1) (1,3) (1,5)\n"
+        "slide 6 2: clears (0,2) (1,2) (2,3) (2,6)\nslide 3 7: clears (3,7)\ncleared: all\nsuccess: true\n",
+    ),
+    (
+        WORKED, ["--model", "czf", "--layout", "0,1,2,3"],
+        "force 2 -> 5\nforce 3 -> 4\nforce 1 -> 6\ncolored: all\n",
+    ),
+    (
+        WORKED, ["--model", "deduction", "--layout", "0,1,2,3"],
+        "stage 1: 2->5 3->4\nstage 2: 1->6\nterminal: 0:1 4:1 5:1 6:1\nprotected: all\n",
+    ),
+    (
+        CHAIN, ["--model", "deduction", "--layout", "1,3"],
+        "stage 1: 3->2\nstage 2: 1->0\nterminal: 0:1 2:1\nprotected: all\n",
+    ),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize(
+        "text, head, oracle, witness", GOLDEN_REPORTS,
+        ids=["c6", "bowtie", "c4-preoccupied", "spiky", "worked", "chain"],
+    )
+    def test_report_bytes(self, capsys, tmp_path, command, text, head, oracle, witness):
+        argv = [command, "--input", write(tmp_path, "g.el", text)]
+        if text == CHAIN:
+            argv += ["--method", "clique", "--certificate", write(tmp_path, "cert.json", CHAIN_CERT)]
+        code, out, err = run(capsys, *argv)
+        report, sep, ms = out.rpartition(', "ms": ')
+        assert (code, err) == (0, "")
+        assert report == head + (oracle if command == "verify" else "") + witness
+        assert sep and ms.endswith("}\n") and float(ms[:-2]) >= 0
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_trace_bytes(self, capsys, tmp_path, command):
+        code, _, err = run(capsys, command, "--input", write(tmp_path, "bowtie.el", BOWTIE), "--trace")
+        assert code == 0
+        assert err == (
+            "auto-detection chose the cactus method\n"
+            "cactus rule: step5.3 cycle=(0,1,2) extender=2 path=1 cycle=2\n"
+            "cactus rule: isolated-cycle (2,3,4) case=none adds=2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, argv, expected", GOLDEN_SIMULATIONS,
+        ids=["c6-cfms", "bowtie-cfms", "spiky-cfms", "worked-czf", "worked-deduction", "chain-deduction"],
+    )
+    def test_simulate_bytes(self, capsys, tmp_path, text, argv, expected):
+        code, out, err = run(capsys, "simulate", "--input", write(tmp_path, "g.el", text), *argv)
+        assert (code, out, err) == (0, expected, "")

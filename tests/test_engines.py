@@ -123,25 +123,25 @@ class TestCfms:
         g = worked_graph()
         s = Strategy.from_text("place 0; place 2; place 3; place 5; slide 0 1; slide 3 4; slide 5 6")
         state = cfms_run(g, s)
-        assert state.success
+        assert state.succeeded(g)
         assert state.cleared_edges == g.edges
         assert state.occupied == frozenset({1, 2, 4, 6})
 
     def test_k2_slide(self):
         g = generate(FamilySpec("path", 2))
         state = cfms_run(g, Strategy.from_text("place 0; slide 0 1"))
-        assert state.success
+        assert state.succeeded(g)
 
     def test_p3_rule_two_then_one(self):
         g = generate(FamilySpec("path", 3))
         state = cfms_run(g, Strategy.from_text("place 0; place 2; slide 0 1"))
-        assert state.success
+        assert state.succeeded(g)
         assert state.moved == frozenset({1})
 
     def test_rule_one_only(self):
         g = generate(FamilySpec("path", 2))
         state = cfms_run(g, Strategy.from_text("place 0; place 1"))
-        assert state.success
+        assert state.succeeded(g)
 
     def test_slide_needs_unique_contaminated(self):
         g = generate(FamilySpec("path", 3))
@@ -157,7 +157,7 @@ class TestCfms:
         g = generate(FamilySpec("path", 4))
         s = Strategy.from_text("place 0; place 2; slide 0 1; slide 2 3")
         state = cfms_run(g, s)
-        assert state.success
+        assert state.succeeded(g)
         s_bad = Strategy.from_text("place 0; slide 0 1; slide 1 2")
         with pytest.raises(StrategyError, match="already slid"):
             cfms_run(g, s_bad)
@@ -176,7 +176,7 @@ class TestCfms:
     def test_place_on_isolated(self):
         g = Graph(1, frozenset())
         state = cfms_run(g, Strategy.from_text("place 0"))
-        assert state.success
+        assert state.succeeded(g)
         assert state.ever_occupied == frozenset({0})
 
     def test_missing_edge(self):
@@ -187,12 +187,12 @@ class TestCfms:
     def test_preoccupied_triangle(self):
         g = generate(FamilySpec("cycle", 3))
         state = cfms_run(g, Strategy.from_text("place 1; slide 0 2"), preoccupied={0})
-        assert state.success
+        assert state.succeeded(g)
 
     def test_preoccupied_searcher_slides_once(self):
         g = generate(FamilySpec("path", 3))
         state = cfms_run(g, Strategy.from_text("place 2; slide 0 1"), preoccupied={0})
-        assert state.success
+        assert state.succeeded(g)
         assert state.occupied == frozenset({1, 2})
 
 
@@ -201,19 +201,19 @@ class TestCompletion:
         g = worked_graph()
         s = complete_with_slides(g, [0, 2, 3, 5])
         state = cfms_run(g, s)
-        assert state.success
+        assert state.succeeded(g)
         assert state.ever_occupied == frozenset(range(7))
 
     def test_insufficient_places(self):
         g = worked_graph()
         s = complete_with_slides(g, [0, 2, 3])
-        assert not cfms_run(g, s).success
+        assert len(cfms_run(g, s).cleared_edges) < g.m
 
     def test_preoccupied(self):
         g = generate(FamilySpec("cycle", 3))
         s = complete_with_slides(g, [1], preoccupied={0})
         state = cfms_run(g, s, preoccupied={0})
-        assert state.success
+        assert state.succeeded(g)
 
     def test_overlap_rejected(self):
         g = generate(FamilySpec("cycle", 3))
@@ -236,7 +236,7 @@ class TestCompletion:
         start = time.perf_counter()
         state = cfms_run(g, complete_with_slides(g, range(0, g.n, 2)))
         assert time.perf_counter() - start < 2.0
-        assert state.success
+        assert state.succeeded(g)
 
     def test_matches_any_maximal_order(self):
         # the greedy canonical order reaches the same cleared set as
@@ -317,10 +317,7 @@ def rescan_run(g: Graph, actions, preoccupied=frozenset()) -> CfmsState:
         occupied.add(v)
         ever.add(v)
         rescan()
-    return CfmsState(
-        frozenset(occupied), frozenset(moved), frozenset(cleared), frozenset(ever),
-        len(cleared) == g.m,
-    )
+    return CfmsState(frozenset(occupied), frozenset(moved), frozenset(cleared), frozenset(ever))
 
 
 def rescan_complete(g: Graph, places, preoccupied=frozenset()) -> Strategy:
@@ -475,14 +472,14 @@ class TestDeductionBridge:
         g = generate(FamilySpec("path", 2))
         s = deduction_to_cfms(g, Layout.standard([0]))
         assert s.actions == (("place", 0), ("slide", 0, 1))
-        assert cfms_run(g, s).success
+        assert cfms_run(g, s).succeeded(g)
 
     def test_c4_adjacent(self):
         g = generate(FamilySpec("cycle", 4))
         s = deduction_to_cfms(g, Layout.standard([0, 1]))
         assert s.searcher_count() == 2
         assert len(s.slides()) == 2
-        assert cfms_run(g, s).success
+        assert cfms_run(g, s).succeeded(g)
 
     def test_worked_tie_strands_searcher(self):
         # both 0 and 2 fire into 1; only the first fire becomes a slide
@@ -497,14 +494,14 @@ class TestDeductionBridge:
             ("slide", 3, 4),
             ("slide", 5, 6),
         )
-        assert cfms_run(g, s).success
+        assert cfms_run(g, s).succeeded(g)
 
     def test_explicit_sequence(self):
         g = worked_graph()
         layout = Layout.standard([0, 2, 3, 5])
         seq = run_deduction(g, layout, "single-fire-canonical").history
         s = deduction_to_cfms(g, layout, seq)
-        assert cfms_run(g, s).success
+        assert cfms_run(g, s).succeeded(g)
 
     def test_rejects_nonstandard(self):
         g = generate(FamilySpec("path", 3))
@@ -528,5 +525,5 @@ class TestDeductionBridge:
                 continue
             done += 1
             state = cfms_run(g, deduction_to_cfms(g, layout))
-            assert state.success
+            assert state.succeeded(g)
             assert state.ever_occupied == frozenset(range(g.n))

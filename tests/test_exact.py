@@ -89,7 +89,7 @@ class TestWorkedExample:
 
         cf = cfms_exact(g)
         state = cfms_run(g, cf.witness)
-        assert state.success
+        assert state.succeeded(g)
         assert state.ever_occupied == frozenset(range(g.n))
 
         mu = mu_exact(g)
@@ -382,7 +382,7 @@ class TestPreoccupied:
         res = cfms_exact(g, preoccupied=frozenset({0}))
         assert res.value == 1
         state = cfms_run(g, res.witness, preoccupied=frozenset({0}))
-        assert state.success
+        assert state.succeeded(g)
 
     def test_fully_preoccupied_path(self):
         g = generate(FamilySpec("path", 2))
@@ -452,7 +452,7 @@ def reference_cfms(g, pre=frozenset()):
         for combo in itertools.combinations(free, s):
             strategy = complete_with_slides(g, combo, preoccupied=pre)
             state = cfms_run(g, strategy, preoccupied=pre)
-            if state.success and state.ever_occupied == frozenset(range(g.n)):
+            if state.succeeded(g):
                 return ParameterResult(s, strategy, "exact")
     raise AssertionError("placing searchers everywhere always clears the graph")
 

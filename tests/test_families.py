@@ -52,7 +52,7 @@ def pentagon_with_tail(n):
 
 def replay_clears(g, result):
     state = cfms_run(g, result.witness)
-    return state.success and state.ever_occupied == frozenset(range(g.n))
+    return state.succeeded(g)
 
 
 class TestTreeSolve:
@@ -286,7 +286,7 @@ class TestDismantlableValue:
             strategy = dismantling_strategy(g, o)
             assert strategy.searcher_count() == czf_exact(g).value
             state = cfms_run(g, strategy)
-            assert state.success and state.ever_occupied == frozenset(range(g.n))
+            assert state.succeeded(g)
         assert checked >= 60
 
 
@@ -298,7 +298,7 @@ class TestDismantlingStrategy:
             o = pendent_dismantle(g)
             strat = dismantling_strategy(g, o)
             state = cfms_run(g, strat)
-            assert state.success
+            assert state.succeeded(g)
             assert state.ever_occupied == frozenset(range(g.n))
             assert strat.searcher_count() == g.n - len(o)
 
@@ -420,6 +420,13 @@ class TestAttachTrees:
         h = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="vertex 0"):
             attach_trees_solve(g, h, {0: frozenset({1, 2})})
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1), (0, 2), (1, 2)], [(0, 1)]], ids=["cycle", "disconnected"]
+    )
+    def test_rejects_attachment_that_is_not_a_tree(self, edges):
+        with pytest.raises(ValueError, match="vertex 0 does not induce a tree"):
+            attach_trees_solve(Graph(1, []), Graph(3, edges), {0: frozenset({1, 2})})
 
     def test_odd_leaf_alone_is_not_enough(self):
         # Each tree has a leaf at odd distance, yet no pendant-edge removal

@@ -116,6 +116,22 @@ def test_certify_called_only_at_the_gates():
     assert callers == CERTIFY_CALLERS
 
 
+def test_cli_only_parses_and_prints():
+    # The oracle choice, the report and agree live in solver.verify, and
+    # the sliding stepper is engines' public Clearing: cli.py neither
+    # reaches into another module's private names nor runs a check itself.
+    checks = {"czf_exact", "d_exact", "cfms_exact", "mu_exact", "certify"}
+    private, called = [], []
+    for node in ast.walk(ast.parse((ROOT / "src" / "onemove" / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("onemove")):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name in checks:
+                called.append(name)
+    assert (private, called) == ([], [])
+
+
 def test_sliding_oracle_stays_off_the_other_oracles_paths():
     # cfms_exact, and every exact.py function it reaches, names neither
     # the deduction search's code nor numpy, so the oracles stay

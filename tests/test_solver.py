@@ -1,16 +1,18 @@
 """The library solve() on every route, against the exhaustive search."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onemove import engines
+from onemove import engines, solver
 from onemove.cactus import CactusInstance, cactus_solve
 from onemove.engines import certify
-from onemove.exact import czf_exact
+from onemove.exact import CFMS_EXACT_CEILING, CZF_EXACT_CEILING, D_EXACT_CEILING, czf_exact
 from onemove.families import dismantling_strategy, pendent_dismantle, tree_solve, unicyclic_solve
 from onemove.graphs import FamilySpec, Graph, classify, connected_components, edge_key, generate
-from onemove.solver import solve
+from onemove.solver import Report, solve, verify
 
 
 @st.composite
@@ -105,3 +107,46 @@ def test_building_blocks_do_not_replay(count_calls):
     cactus_solve(CactusInstance(bowtie, frozenset({0, 3})))
     dismantling_strategy(spiky, pendent_dismantle(spiky))
     assert replays == []
+
+
+@pytest.mark.parametrize(
+    "g, pre, method, oracle",
+    [
+        (generate(FamilySpec("cycle", 6)), frozenset(), "auto", "czf_exact"),
+        # czf_exact was the solver, so the deduction search checks it.
+        (generate(FamilySpec("cycle", 6)), frozenset(), "exact", "d_exact"),
+        (generate(FamilySpec("cycle", 4)), frozenset({1, 3}), "auto", "cfms_exact"),
+    ],
+    ids=["czf", "deduction", "sliding"],
+)
+def test_verify_picks_an_independent_oracle(g, pre, method, oracle):
+    report = verify(g, pre, method)
+    assert report.result == solve(g, pre, method)
+    assert report.preoccupied == pre
+    assert report.oracle == (oracle, report.result.value)
+    assert report.agree is True
+    assert Report(report.result, pre).agree is None
+
+
+@pytest.mark.parametrize(
+    "g, pre, oracle",
+    [
+        # Each input solves in polynomial time; only its oracle is past the ceiling.
+        (generate(FamilySpec("star", CZF_EXACT_CEILING + 1)), frozenset(), "czf_exact"),
+        (generate(FamilySpec("complete", D_EXACT_CEILING + 1)), frozenset(), "d_exact"),
+        (generate(FamilySpec("cycle", CFMS_EXACT_CEILING + 1)), frozenset({0}), "cfms_exact"),
+    ],
+    ids=["czf", "deduction", "sliding"],
+)
+def test_verify_refuses_past_the_oracle_ceiling(g, pre, oracle):
+    solve(g, pre)
+    with pytest.raises(ValueError, match=f"{oracle}.*refused|refused.*{oracle}"):
+        verify(g, pre)
+
+
+def test_verify_reports_disagreement(monkeypatch):
+    g = generate(FamilySpec("cycle", 6))
+    monkeypatch.setattr(solver, "d_exact", lambda g, force=False: SimpleNamespace(value=99))
+    report = verify(g, method="exact")
+    assert (report.oracle, report.agree) == (("d_exact", 99), False)
+    assert report.to_json()["agree"] is False
