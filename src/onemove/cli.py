@@ -18,12 +18,7 @@ import sys
 import time
 
 from .cactus import split_preoccupied
-from .constructions import (
-    contraction_probe,
-    perturb_delta,
-    vc_to_czf_reduction,
-    write_reduction,
-)
+from .constructions import probe_edit, probe_grid, vc_to_czf_reduction, write_reduction
 from .deduction import Layout, run_deduction
 from .engines import Clearing, Strategy, czf_run
 from .families import CliqueConstruction
@@ -111,6 +106,8 @@ def _cmd_solve(args) -> int:
     start = time.perf_counter()
     if args.method == "clique" and args.certificate is None:
         raise UsageError("--method clique needs --certificate")
+    if args.method != "clique" and args.certificate is not None:
+        raise UsageError("--certificate needs --method clique")
     construction = _read_certificate(args.certificate) if args.method == "clique" else None
     if args.command == "verify":
         report = verify(g, pre, args.method, construction=construction, force=args.force)
@@ -228,34 +225,16 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def _probe_one(task):
-    # Module level so probe grids can run under a process pool.
-    mode, g, e = task
-    if mode == "contract":
-        before, after = contraction_probe(g, e)
-        return {"edge": list(e), "before": before, "after": after}
-    return {"edge": list(e), "delta": perturb_delta(g, e, mode)}
-
-
 def _cmd_probe(args) -> int:
     g = parse_edge_list(_read_text(args.input))
     start = time.perf_counter()
-    if args.mode == "add":
-        grid = [
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if not g.has_edge(u, v)
-        ]
-    else:
-        grid = g.sorted_edges()
-    tasks = [(args.mode, g, e) for e in grid]
+    tasks = probe_grid(g, args.mode)
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_probe_one, tasks))
+            results = list(pool.map(probe_edit, tasks))
     else:
-        results = [_probe_one(t) for t in tasks]
+        results = [probe_edit(t) for t in tasks]
     findings = [
         r["edge"] for r in results if args.mode == "contract" and r["after"] > r["before"]
     ]

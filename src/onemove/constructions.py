@@ -275,12 +275,16 @@ def spectrum_witness(n: int, d: int) -> Graph:
     return g
 
 
-def perturb_delta(g: Graph, e: tuple[int, int], mode: str) -> int:
-    """Change in the clearing number from one edge addition or removal."""
+def perturb_delta(g: Graph, e: tuple[int, int], mode: str, before: int | None = None) -> int:
+    """Change in the clearing number from one edge addition or removal.
+
+    before is g's clearing number, computed here when not given.
+    """
     if mode not in ("add", "remove"):
         raise ValueError(f"unknown edit mode {mode!r}")
     u, v = e
-    before = czf_exact(g).value
+    if before is None:
+        before = czf_exact(g).value
     after = czf_exact(edit_edge(g, u, v, mode)).value
     delta = after - before
     if delta not in (-1, 0, 1):
@@ -288,15 +292,17 @@ def perturb_delta(g: Graph, e: tuple[int, int], mode: str) -> int:
     return delta
 
 
-def contraction_probe(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
+def contraction_probe(g: Graph, e: tuple[int, int], before: int | None = None) -> tuple[int, int]:
     """Clearing number before and after contracting one edge.
 
     Whether contraction can ever raise the number is unsettled, so any
     increase is logged as a finding rather than treated as an error.  An
-    increase above one is impossible and treated as a bug.
+    increase above one is impossible and treated as a bug.  before is g's
+    clearing number, computed here when not given.
     """
     u, v = e
-    before = czf_exact(g).value
+    if before is None:
+        before = czf_exact(g).value
     after = czf_exact(edit_edge(g, u, v, "contract")).value
     if after > before:
         log.info(
@@ -309,6 +315,30 @@ def contraction_probe(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
     if after > before + 1:
         raise RuntimeError("contraction raised the value by more than one; this is a bug")
     return before, after
+
+
+def probe_grid(g: Graph, mode: str) -> list[tuple[str, Graph, Edge, int]]:
+    """One probe_edit task per edit of the mode: every non-edge for add,
+    every edge for remove and contract.  g's clearing number is computed
+    once here and carried by every task."""
+    if mode == "add":
+        grid = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    else:
+        grid = g.sorted_edges()
+    if not grid:
+        return []
+    before = czf_exact(g).value
+    return [(mode, g, e, before) for e in grid]
+
+
+def probe_edit(task: tuple[str, Graph, Edge, int]) -> dict:
+    """The report entry of one probe_grid task.  Module level, so that a
+    process pool can run the grid."""
+    mode, g, e, before = task
+    if mode == "contract":
+        before, after = contraction_probe(g, e, before)
+        return {"edge": list(e), "before": before, "after": after}
+    return {"edge": list(e), "delta": perturb_delta(g, e, mode, before)}
 
 
 # ---------------------------------------------------------------------------

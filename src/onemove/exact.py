@@ -17,11 +17,13 @@ each still plays its own process.  The sliding search plays every
 placement set with its own scalar bitset step, _slides_clear, and
 replays only the winner through the engines.
 
-No oracle keeps a result between calls.  Three tables outlive a call:
+No oracle keeps a result between calls.  Four tables outlive a call:
 _fire_need, the 16-bit popcount the deduction sweep reads;
-_combo_masks_small's cache of up to 128 small subset classes; and
-czf_value_table's _TABLE_CACHE of one value table per n <= 7.  Each
-depends only on its arguments, never on a graph searched before.
+_LAYOUT_TABLES, its read-only layout tables of at most _LAYOUT_CHUNK
+rows each; _combo_masks_small's cache of up to 128 small subset
+classes; and czf_value_table's _TABLE_CACHE of one value table per
+n <= 7.  Each is filled on first use and depends only on its
+arguments, never on a graph searched before.
 
 numpy is imported inside the functions that use it, so only the vector
 sweeps and czf_value_table load it; the scalar forcing loop, the
@@ -41,8 +43,9 @@ from .graphs import Graph, adjacency_masks, connected_components, edge_key, indu
 
 CZF_EXACT_CEILING = 24
 # The deduction search's worst case at a given n is a star: every total
-# from ceil(n/2) to n - 2 is swept in full.  It took 0.84 s at n = 13 and
-# 3.2 s at n = 14; G(n, p), p = 0.3..0.95, took at most 0.24 s at 13.
+# from ceil(n/2) to n - 2 is swept in full.  It took 0.47-0.67 s at
+# n = 13 and 2.0-2.2 s at n = 14; G(13, p), p = 0.3..0.95, took at most
+# 0.10 s.
 D_EXACT_CEILING = 13
 # The same star, center last, is the sliding search's slowest input
 # measured: 0.02-0.04 s at n = 13, 0.05-0.09 s at 14, 0.09-0.16 s at 15
@@ -366,28 +369,33 @@ def czf_value_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _layout_table(m: int, t: int, tables: dict) -> np.ndarray:
+_LAYOUT_TABLES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _layout_table(m: int, t: int) -> np.ndarray:
     """S(m, t): every t-searcher layout on m vertices as uint8 count rows,
-    in combinations_with_replacement order, memoised in tables."""
+    in combinations_with_replacement order, read-only and kept in
+    _LAYOUT_TABLES across calls."""
     import numpy as np
 
-    rows = tables.get((m, t))
+    rows = _LAYOUT_TABLES.get((m, t))
     if rows is None:
         if m == 1 or t == 0:
             rows = np.zeros((1, m), dtype=np.uint8)
             rows[0, 0] = t
         else:
-            first = _layout_table(m, t - 1, tables)
-            rest = _layout_table(m - 1, t, tables)
+            first = _layout_table(m, t - 1)
+            rest = _layout_table(m - 1, t)
             rows = np.zeros((len(first) + len(rest), m), dtype=np.uint8)
             rows[: len(first)] = first
             rows[: len(first), 0] += 1
             rows[len(first) :, 1:] = rest
-        tables[(m, t)] = rows
+        rows.flags.writeable = False
+        _LAYOUT_TABLES[(m, t)] = rows
     return rows
 
 
-def _layout_parts(n: int, j: int, t: int, prefix: np.ndarray, size: int, tables: dict):
+def _layout_parts(n: int, j: int, t: int, prefix: np.ndarray, size: int):
     """prefix plus each t-searcher layout on {j, ..., n-1}, in parts of at
     most size rows (see _layout_chunks)."""
     import numpy as np
@@ -395,13 +403,13 @@ def _layout_parts(n: int, j: int, t: int, prefix: np.ndarray, size: int, tables:
     count = comb(n - j + t - 1, t)
     if count <= size:
         rows = np.tile(prefix, (count, 1))
-        rows[:, j:] += _layout_table(n - j, t, tables)
+        rows[:, j:] += _layout_table(n - j, t)
         yield rows
     else:
         grown = prefix.copy()
         grown[j] += 1
-        yield from _layout_parts(n, j, t - 1, grown, size, tables)
-        yield from _layout_parts(n, j + 1, t, prefix, size, tables)
+        yield from _layout_parts(n, j, t - 1, grown, size)
+        yield from _layout_parts(n, j + 1, t, prefix, size)
 
 
 def _layout_chunks(n: int, total: int, size: int):
@@ -412,17 +420,17 @@ def _layout_chunks(n: int, total: int, size: int):
     M[j][t-1] followed by M[j+1][t].  The stream splits M[0][total] by
     that rule until a part has at most size rows; a part is then its
     prefix row plus the table S(n-j, t), built by the same rule and kept
-    only for this stream.  Parts are joined into chunks of at least size
-    rows, and the target doubles per chunk up to 16 * size, so an early
-    hit costs a small chunk and a long search sweeps large ones.
+    for every later stream, since it depends on nothing else.  Parts are
+    joined into chunks of at least size rows, and the target doubles per
+    chunk up to 16 * size, so an early hit costs a small chunk and a long
+    search sweeps large ones.
     """
     import numpy as np
 
-    tables: dict[tuple[int, int], np.ndarray] = {}
     pending: list[np.ndarray] = []
     count = 0
     target = size
-    for rows in _layout_parts(n, 0, total, np.zeros(n, dtype=np.uint8), size, tables):
+    for rows in _layout_parts(n, 0, total, np.zeros(n, dtype=np.uint8), size):
         pending.append(rows)
         count += len(rows)
         if count >= target:
@@ -448,28 +456,40 @@ def _fire_need() -> np.ndarray:
     return need
 
 
-def _first_layout(nbrs: list[int], n: int, total: int) -> np.ndarray | None:
-    """Count row of the first total-searcher layout that protects everything.
+def _fire_stage(nb: np.ndarray, counts: np.ndarray, protected: np.ndarray) -> None:
+    """One all-fireable stage on every row: each v with
+    1 <= |N(v) - P| <= c_v fires at once, and P gains every N(v) - P.
 
-    Each round applies the firing rule vertex by vertex to every live row:
-    v fires when 1 <= |N(v) - P| <= c_v, and then P |= N(v).  A vertex
-    that has fired has no unprotected neighbor left, so it fires once.
-    Masks are 16-bit, so n <= 16.
+    nb holds the n neighbor masks, counts one layout per row and
+    protected each row's P, updated in place.  Firing is monotone: if v
+    can fire at P, it can at every P' containing P (|N(v) - P'| is no
+    larger), unless N(v) is inside P' already and firing adds nothing.
+    So every maximal firing order, one vertex or one stage at a time,
+    ends at the same protected set, the least one closed under firing
+    that contains the support.  A vertex that has fired has no
+    unprotected neighbor left, so it fires once.
     """
     import numpy as np
 
-    need = _fire_need()
-    nb = [np.uint16(x) for x in nbrs]
+    unc = nb & ~protected[:, None]
+    unc *= _fire_need().take(unc) <= counts
+    protected |= np.bitwise_or.reduce(unc, axis=1)
+
+
+def _first_layout(nbrs: list[int], n: int, total: int) -> np.ndarray | None:
+    """Count row of the first total-searcher layout that protects everything.
+
+    Each round is one _fire_stage on every live row.  Masks are 16-bit,
+    so n <= 16.
+    """
+    import numpy as np
+
+    nb = np.array(nbrs, dtype=np.uint16)
     bits = (1 << np.arange(n)).astype(np.uint16)
-
-    def fire_round(counts: np.ndarray, protected: np.ndarray) -> None:
-        for v in range(n):
-            unc = nb[v] & ~protected
-            protected |= unc * (need.take(unc) <= counts[:, v])
-
     # The support of each layout is protected from the start.
     chunks = ((counts, (counts != 0) @ bits) for counts in _layout_chunks(n, total, _LAYOUT_CHUNK))
-    return _first_hit(chunks, np.uint16((1 << n) - 1), fire_round)
+    full = np.uint16((1 << n) - 1)
+    return _first_hit(chunks, full, lambda counts, protected: _fire_stage(nb, counts, protected))
 
 
 def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:

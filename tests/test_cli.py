@@ -22,6 +22,7 @@ C4_PRE = "4 4\n0 1\n1 2\n2 3\n0 3\npreoccupied 1 3\n"
 CHAIN = "4 4\n0 1\n1 2\n1 3\n2 3\n"
 CHAIN_CERT = json.dumps({"cliques": [[0, 1], [2, 3]], "anchors": [0, 2], "attachments": [[1]]})
 C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
+C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 
 
 def run(capsys, *argv):
@@ -126,6 +127,16 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--input", path, "--method", "clique")
         assert code == 1
         assert "certificate" in err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_certificate_needs_clique_method(self, capsys, tmp_path, command):
+        # A certificate the chosen method would never read is refused
+        # before anything is solved.
+        graph = write(tmp_path, "chain.el", CHAIN)
+        cert = write(tmp_path, "cert.json", CHAIN_CERT)
+        code, out, err = run(capsys, command, "--input", graph, "--certificate", cert)
+        assert (code, out) == (cli.USAGE_EXIT, "")
+        assert "--certificate needs --method clique" in err
 
     def test_clique_method_with_certificate(self, capsys, tmp_path):
         graph = write(tmp_path, "chain.el", CHAIN)
@@ -459,6 +470,27 @@ class TestProbe:
         report = json.loads(out)
         assert code == 0
         assert len(report["results"]) == 4
+
+    @pytest.mark.parametrize(
+        "mode, results",
+        [
+            ("add", [{"edge": e, "delta": 0} for e in ([0, 2], [0, 3], [1, 3], [1, 4], [2, 4])]),
+            ("remove", [{"edge": e, "delta": 0} for e in ([0, 1], [0, 4], [1, 2], [2, 3], [3, 4])]),
+            (
+                "contract",
+                [{"edge": e, "before": 3, "after": 2} for e in ([0, 1], [0, 4], [1, 2], [2, 3], [3, 4])],
+            ),
+        ],
+    )
+    def test_base_value_computed_once_per_grid(self, capsys, tmp_path, count_calls, mode, results):
+        # C5 has five edges and five non-edges: one oracle call per edited
+        # graph and one for C5 itself, not one more per edit.
+        path = write(tmp_path, "c5.el", C5)
+        calls = count_calls(czf_exact)
+        code, out, _ = run(capsys, "probe", "--input", path, "--mode", mode)
+        assert code == 0
+        assert len(calls) == 6
+        assert json.loads(out)["results"] == results
 
     def test_parallel_matches_serial(self, capsys, tmp_path):
         path = write(tmp_path, "k4.el", K4)

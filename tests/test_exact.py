@@ -336,6 +336,26 @@ class TestVectorPath:
                     assert all(c.dtype == np.uint8 for c in chunks)
                     assert [r for c in chunks for r in c.tolist()] == expected, (n, t, size)
 
+    def test_layout_tables_stay_small_and_read_only(self):
+        for n in range(1, 11):
+            d_exact(random_graph(random.Random(n), n, 0.4))
+        assert exact._LAYOUT_TABLES
+        for (m, t), rows in exact._LAYOUT_TABLES.items():
+            assert rows.shape == (comb(m + t - 1, t), m), (m, t)
+            assert len(rows) <= exact._LAYOUT_CHUNK, (m, t)
+            assert not rows.flags.writeable, (m, t)
+
+    def test_d_exact_forgets_its_call_history(self, monkeypatch):
+        # Tables shared across calls must not carry one graph's search
+        # into the next: the same graphs, run forwards from empty tables
+        # and then backwards over the tables the first run left, agree.
+        monkeypatch.setattr(exact, "_LAYOUT_TABLES", {})
+        rng = random.Random(12)
+        graphs = [random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.45, 0.7])) for _ in range(40)]
+        forwards = [d_exact(g) for g in graphs]
+        backwards = [d_exact(g) for g in reversed(graphs)]
+        assert forwards == backwards[::-1]
+
     def test_layout_sweep_returns_least_hit(self, monkeypatch):
         # The path 3-0-2-1 with two searchers: {0, 1} protects everything
         # only in a second round (1 fires, then 0), while the later {0, 2}
@@ -553,6 +573,25 @@ class TestAgainstReferences:
                 state = cfms_run(g, complete_with_slides(g, combo, pre), pre)
                 mask = held | sum(1 << v for v in combo)
                 assert exact._slides_clear(nbrs, full, mask) == state.succeeded(g), combo
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=forcing_graphs(st.integers(1, 6)))
+    def test_stage_round_plays_the_game(self, g):
+        # On every layout of every total, not only the first hit: stage
+        # rounds to a fixpoint protect what run_deduction protects.
+        nb = np.array(adjacency_masks(g), dtype=np.uint16)
+        bits = (1 << np.arange(g.n)).astype(np.uint16)
+        for total in range(1, g.n + 1):
+            counts = np.concatenate(list(exact._layout_chunks(g.n, total, exact._LAYOUT_CHUNK)))
+            protected = (counts != 0) @ bits
+            while True:
+                before = protected.copy()
+                exact._fire_stage(nb, counts, protected)
+                if (protected == before).all():
+                    break
+            for row, mask in zip(counts.tolist(), protected.tolist()):
+                state = run_deduction(g, Layout({v: c for v, c in enumerate(row) if c}))
+                assert mask == sum(1 << v for v in state.protected), row
 
 
 class TestForcingSearch:
