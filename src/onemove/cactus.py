@@ -1,14 +1,16 @@
 """Cactus solver for the variant where some vertices start occupied.
 
-Degree-1 vertices fall to four local rules keyed to which of the leaf
-and its neighbor already hold a searcher.  Once no degree-1 vertex is
-left, a cactus forest is a collection of cycles glued at cut vertices
-and always exposes a cycle that is isolated or meets the rest of the
-graph in a single branching vertex; those fall to a case analysis that
-compares the cost of the whole cycle with the cost of the path avoiding
-the branching vertex.  Solvers here compute placements only: slides are
-reconstructed greedily, and the finished strategy is left for the caller
-to replay (solver.solve certifies it once).
+Degree-1 vertices fall to the four local rules of the one leaf peel,
+graphs.peel_leaves, keyed to which of the leaf and its neighbor already
+hold a searcher; it runs again on the residual after each cycle
+deletion.  Once no degree-1 vertex is left, a cactus forest is a
+collection of cycles glued at cut vertices and always exposes a cycle
+that is isolated or meets the rest of the graph in a single branching
+vertex; those fall to a case analysis that compares the cost of the
+whole cycle with the cost of the path avoiding the branching vertex.
+Solvers here compute placements only: slides are reconstructed greedily,
+and the finished strategy is left for the caller to replay (solver.solve
+certifies it once).
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .graphs import (
     Graph,
     alternating_places,
     classify,
+    delete_vertices,
     edge_key,
     parse_edge_list,
+    peel_leaves,
     write_edge_list,
 )
 
@@ -62,7 +66,8 @@ class CactusInstance:
 
 def split_preoccupied(text: str) -> tuple[str, frozenset[int] | None]:
     """The edge-list part of text, and the vertices of its one optional
-    line "preoccupied v1 v2 ..." (None when there is no such line).
+    line "preoccupied v1 v2 ..." (None when there is no such line), each
+    listed once.
 
     Only lines that contain the word are split into tokens, so text
     without it is returned as it is, unscanned.
@@ -77,9 +82,13 @@ def split_preoccupied(text: str) -> tuple[str, frozenset[int] | None]:
             if pre is not None:
                 raise ValueError(f"line {lineno}: second preoccupied line")
             try:
-                pre = frozenset(int(p) for p in parts[1:])
+                listed = [int(p) for p in parts[1:]]
             except ValueError:
                 raise ValueError(f"line {lineno}: expected integers after 'preoccupied'") from None
+            pre = frozenset(listed)
+            if len(pre) < len(listed):
+                v = next(v for i, v in enumerate(listed) if v in listed[:i])
+                raise ValueError(f"line {lineno}: repeated preoccupied vertex {v}")
         else:
             kept.append(raw)
     return "\n".join(kept), pre
@@ -97,81 +106,22 @@ def write_cactus_instance(inst: CactusInstance) -> str:
     return write_edge_list(inst.graph) + ("preoccupied " + pre).rstrip() + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Local rules for degree-1 vertices, shared by the cactus loop and its
-# path pieces.  The residual graph lives in an adjacency dict keyed by
-# the graph's own labels; deleting a vertex stands for its edges being
-# cleared, with any slide needed to get there deferred to the greedy
-# completion.
-# ---------------------------------------------------------------------------
-
-
-def _delete(adj: dict[int, set[int]], pre: set[int], gone) -> set[int]:
-    """Delete the vertices in gone; returns their surviving neighbors,
-    the only vertices whose degree fell."""
-    gone = set(gone)
-    touched: set[int] = set()
-    for w in gone:
-        for x in adj.pop(w):
-            if x not in gone:
-                adj[x].discard(w)
-                touched.add(x)
-        pre.discard(w)
-    return touched
-
-
-def _leaf_rules_fixpoint(
+def _resolve_leaves(
     adj: dict[int, set[int]], pre: set[int], places: list[int], trace: list[str], dirty: set[int]
 ) -> None:
-    """Resolve degree-1 vertices until none remain.
-
-    Rule 1: leaf and neighbor both unoccupied: place on the leaf, both go.
-    Rule 2: both occupied: the leaf alone goes, the neighbor keeps its
-    searcher.  Rule 3: occupied leaf: its searcher slides in, both go.
-    Rule 4: occupied neighbor: its searcher slides out, both go.  Lowest
-    rule number first, lowest leaf within a rule.  dirty holds every
-    vertex whose degree may have fallen since the residual last had no
-    leaf; it gains each vertex whose degree falls here.  A heap holds
-    every vertex whose degree has dropped to 1; entries that are no
-    longer leaves are skipped.
-    """
-    heap: list[tuple[int, int, int]] = []
-
-    def push(v: int) -> None:
-        u = next(iter(adj[v]))
-        if v in pre:
-            heapq.heappush(heap, (2 if u in pre else 3, v, u))
-        else:
-            heapq.heappush(heap, (4 if u in pre else 1, v, u))
-
-    for v in dirty:
-        if len(adj.get(v, ())) == 1:
-            push(v)
-    while heap:
-        rule, v, u = heapq.heappop(heap)
-        if len(adj.get(v, ())) != 1:
-            continue
+    """Peel the residual (graphs.peel_leaves), then resolve the isolated
+    vertices left, which are all in dirty: place on each unoccupied one."""
+    for rule, v, u in peel_leaves(adj, pre, dirty):
         trace.append(f"step{rule} v={v} u={u}")
         if rule == 1:
             places.append(v)
-        touched = _delete(adj, pre, (v,) if rule == 2 else (v, u))
-        dirty |= touched
-        for x in touched:
-            if len(adj[x]) == 1:
-                push(x)
-
-
-def _sweep_isolated(
-    adj: dict[int, set[int]], pre: set[int], places: list[int], trace: list[str], dirty: set[int]
-) -> None:
-    """Resolve the isolated vertices, which are all in dirty."""
     for v in sorted(x for x in dirty if x in adj and not adj[x]):
         if v in pre:
             trace.append(f"isolated v={v} preoccupied")
         else:
             places.append(v)
             trace.append(f"isolated v={v} placed")
-        _delete(adj, pre, (v,))
+        delete_vertices(adj, pre, (v,))
 
 
 def _ring_adjacency(rotation: tuple[int, ...], skip: int | None = None) -> dict[int, set[int]]:
@@ -185,19 +135,15 @@ def _ring_adjacency(rotation: tuple[int, ...], skip: int | None = None) -> dict[
 
 
 def _path_places(adj: dict[int, set[int]], pre) -> list[int]:
-    """Placements that dissolve a disjoint union of paths: the leaf rules
+    """Placements that dissolve a disjoint union of paths: the leaf peel
     plus the isolated sweep.
 
     adj is keyed by the caller's labels and is emptied; pre may hold
     vertices outside adj and is only read.  Labels act only through
     their order, which breaks ties between leaves.
     """
-    live_pre = {v for v in adj if v in pre}
     places: list[int] = []
-    trace: list[str] = []
-    dirty = set(adj)
-    _leaf_rules_fixpoint(adj, live_pre, places, trace, dirty)
-    _sweep_isolated(adj, live_pre, places, trace, dirty)
+    _resolve_leaves(adj, {v for v in adj if v in pre}, places, [], set(adj))
     if adj:
         raise RuntimeError("leaf rules did not dissolve the path; this is a bug")
     return places
@@ -389,8 +335,7 @@ def cactus_solve(inst: CactusInstance) -> ParameterResult:
         enqueue(i)
     dirty = set(adj)  # vertices whose degree may have fallen
     while adj:
-        _leaf_rules_fixpoint(adj, pre, places, trace, dirty)
-        _sweep_isolated(adj, pre, places, trace, dirty)
+        _resolve_leaves(adj, pre, places, trace, dirty)
         if not adj:
             break
         for x in dirty:
@@ -409,7 +354,7 @@ def cactus_solve(inst: CactusInstance) -> ParameterResult:
                 places.extend(pl)
                 listing = ",".join(str(w) for w in cyc)
                 trace.append(f"isolated-cycle ({listing}) case={label} adds={len(pl)}")
-                _delete(adj, pre, cyc)
+                delete_vertices(adj, pre, cyc)
             continue
 
         while leaves and (count[leaves[0][2]] != 1 or not alive(leaves[0][1])):
@@ -445,14 +390,14 @@ def cactus_solve(inst: CactusInstance) -> ParameterResult:
             trace.append(
                 f"step{case} cycle=({listing}) extender={v} path={cf_p} cycle={cf_c}"
             )
-            dirty |= _delete(adj, pre, (w for w in cyc if w != v))
+            dirty |= delete_vertices(adj, pre, (w for w in cyc if w != v))
         else:
             places.extend(pl_c)
             trace.append(
                 f"step{case} cycle=({listing}) extender={v}"
                 f" path={cf_p} cycle={cf_c} case={label}"
             )
-            dirty |= _delete(adj, pre, cyc)
+            dirty |= delete_vertices(adj, pre, cyc)
 
     strategy = complete_with_slides(g, places, preoccupied=inst.preoccupied)
     return ParameterResult(len(places), strategy, "cactus", tuple(trace))

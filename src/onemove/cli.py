@@ -102,12 +102,12 @@ def _read_certificate(path: str) -> CliqueConstruction:
 
 def _cmd_solve(args) -> int:
     """solve, and verify, which adds the oracle cross-check to the report."""
-    g, pre = _read_instance(args.input)
-    start = time.perf_counter()
     if args.method == "clique" and args.certificate is None:
         raise UsageError("--method clique needs --certificate")
     if args.method != "clique" and args.certificate is not None:
         raise UsageError("--certificate needs --method clique")
+    g, pre = _read_instance(args.input)
+    start = time.perf_counter()
     construction = _read_certificate(args.certificate) if args.method == "clique" else None
     if args.command == "verify":
         report = verify(g, pre, args.method, construction=construction, force=args.force)
@@ -173,16 +173,19 @@ def _simulate_cfms(g: Graph, strategy: Strategy, preoccupied: frozenset[int]) ->
 
 
 def _cmd_simulate(args) -> int:
+    """Each model reads one of --strategy (cfms) and --layout (czf,
+    deduction): it needs that flag and refuses the other."""
+    wanted, other = ("strategy", "layout") if args.model == "cfms" else ("layout", "strategy")
+    if getattr(args, wanted) is None:
+        raise UsageError(f"--model {args.model} needs --{wanted}")
+    if getattr(args, other) is not None:
+        raise UsageError(f"--model {args.model} takes no --{other}")
     g, pre = _read_instance(args.input)
     if args.model == "cfms":
-        if args.strategy is None:
-            raise UsageError("--model cfms needs --strategy")
         _simulate_cfms(g, Strategy.from_text(args.strategy), pre)
         return 0
     if pre:
         raise ValueError(f"--model {args.model} takes no preoccupied line")
-    if args.layout is None:
-        raise UsageError(f"--model {args.model} needs --layout")
     layout = _parse_layout_csv(args.layout)
     if args.model == "czf":
         _simulate_czf(g, layout)

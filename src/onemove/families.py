@@ -9,10 +9,10 @@ report without it, so each replays its witness once itself.
 Pendant-edge dismantling orderings act as certificates in their own
 right; any two orderings of the same graph have equal length, so the
 count they certify is well defined.  Trees, dismantling and attached
-trees all start from one greedy pendant peel (graphs.peel_pendants):
-deleting any pendant edge of a dismantlable graph leaves a dismantlable
-graph, so no search is needed.  Unicyclic graphs are cactus forests, so
-a shape check hands them to cactus.cactus_solve.
+trees all read the one leaf peel, graphs.peel_leaves, with no vertex
+occupied: deleting any pendant edge of a dismantlable graph leaves a
+dismantlable graph, so no search is needed.  Unicyclic graphs are cactus
+forests, so a shape check hands them to cactus.cactus_solve.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .cactus import CactusInstance, cactus_solve
 from .deduction import Layout
 from .engines import Strategy, certify
 from .exact import ParameterResult
-from .graphs import Edge, Graph, connected_components, edge_key, peel_pendants
+from .graphs import Edge, Graph, connected_components, delete_vertices, edge_key, peel_leaves
 
 __all__ = [
     "DismantlingOrdering",
@@ -74,6 +74,14 @@ class CliqueConstruction:
 # ---------------------------------------------------------------------------
 
 
+def _peel(g: Graph) -> tuple[list[tuple[int, int]], dict[int, set[int]]]:
+    """graphs.peel_leaves on all of g with no vertex occupied: the peeled
+    pairs (degree-1 end, other end) in deletion order, and the residual."""
+    adj = {v: set(ws) for v, ws in enumerate(g.adjacency())}
+    steps = peel_leaves(adj, set(), set(adj))
+    return [(v, u) for _, v, u in steps], adj
+
+
 def _pairs_strategy(g: Graph, oriented: list[tuple[int, int]]) -> Strategy:
     """Strategy for pendant pairs (degree-1 end, other end) in deletion
     order: place on every vertex but the other ends, then slide each
@@ -94,7 +102,7 @@ def tree_solve(t: Graph) -> ParameterResult:
     """
     if t.m != t.n - len(connected_components(t)):
         raise ValueError("input graph is not a forest")
-    pairs, _ = peel_pendants(t)
+    pairs, _ = _peel(t)
     return ParameterResult(value=t.n - len(pairs), witness=_pairs_strategy(t, pairs), method="tree")
 
 
@@ -123,11 +131,12 @@ def unicyclic_solve(g: Graph) -> ParameterResult:
 def pendent_dismantle(g: Graph, *, stats: dict | None = None) -> DismantlingOrdering | None:
     """The greedy pendant-edge dismantling ordering, or None if an edge survives.
 
-    Greedy choice is safe (see graphs.peel_pendants), so the peel decides
-    dismantlability without search.  A stats dict gets "backtracks" = 0:
-    the keyword stays because perfbench's tracer passes it.
+    Greedy choice is safe (see graphs.peel_leaves, all of whose steps are
+    rule 1 here), so the one leaf peel decides dismantlability without
+    search.  A stats dict gets "backtracks" = 0: the keyword stays
+    because perfbench's tracer passes it.
     """
-    peeled, residual = peel_pendants(g)
+    peeled, residual = _peel(g)
     if stats is not None:
         stats["backtracks"] = 0
     if any(residual.values()):
@@ -137,28 +146,22 @@ def pendent_dismantle(g: Graph, *, stats: dict | None = None) -> DismantlingOrde
 
 def _replay_ordering(g: Graph, o: DismantlingOrdering) -> list[tuple[int, int]]:
     """Validate an ordering and orient each edge as (degree-1 endpoint, other)."""
-    adj = g.adjacency()
-    alive = set(range(g.n))
-
-    def degree(v: int) -> int:
-        return sum(1 for w in adj[v] if w in alive)
-
+    adj = {v: set(ws) for v, ws in enumerate(g.adjacency())}
     oriented: list[tuple[int, int]] = []
     for i, (a, b) in enumerate(o.edges):
-        if a not in alive or b not in alive:
+        if a not in adj or b not in adj:
             raise ValueError(f"step {i}: edge ({a}, {b}) touches a deleted vertex")
         if not g.has_edge(a, b):
             raise ValueError(f"step {i}: ({a}, {b}) is not an edge")
-        if degree(a) == 1:
+        if len(adj[a]) == 1:
             oriented.append((a, b))
-        elif degree(b) == 1:
+        elif len(adj[b]) == 1:
             oriented.append((b, a))
         else:
             raise ValueError(f"step {i}: edge ({a}, {b}) is not pendant in the residual graph")
-        alive -= {a, b}
-    for v in alive:
-        if degree(v) > 0:
-            raise ValueError("ordering ends with edges remaining")
+        delete_vertices(adj, set(), (a, b))
+    if any(adj.values()):
+        raise ValueError("ordering ends with edges remaining")
     return oriented
 
 
@@ -311,7 +314,7 @@ def attach_trees_solve(g: Graph, h: Graph, attachment: dict[int, frozenset[int]]
         if not _has_odd_leaf(h, members, v):
             raise ValueError(f"tree attached at vertex {v} has no leaf at odd distance from it")
 
-    pairs, residual = peel_pendants(h)
+    pairs, residual = _peel(h)
     blocked = min((v for v in range(g.n) if residual.get(v)), default=None)
     if blocked is not None:
         raise ValueError(

@@ -357,8 +357,7 @@ def rescanning_cactus_solve(inst):
     places, trace = [], []
     cycles = classify(g).cycles
     while adj:
-        cactus._leaf_rules_fixpoint(adj, pre, places, trace, set(adj))
-        cactus._sweep_isolated(adj, pre, places, trace, set(adj))
+        cactus._resolve_leaves(adj, pre, places, trace, set(adj))
         if not adj:
             break
         cycles = [cyc for cyc in cycles if all(w in adj for w in cyc)]
@@ -370,7 +369,7 @@ def rescanning_cactus_solve(inst):
             )
             places.extend(sorted(rel)[x] for x in pl)
             trace.append(f"isolated-cycle ({','.join(map(str, cyc))}) case={label} adds={len(pl)}")
-            cactus._delete(adj, pre, cyc)
+            graphs.delete_vertices(adj, pre, cyc)
         if isolated:
             continue
         v, cyc = min(
@@ -396,11 +395,11 @@ def rescanning_cactus_solve(inst):
         if clear_path:
             places.extend(sorted(rel_p)[x] for x in pl_p)
             trace.append(listing)
-            cactus._delete(adj, pre, path)
+            graphs.delete_vertices(adj, pre, path)
         else:
             places.extend(sorted(rel_c)[x] for x in pl_c)
             trace.append(f"{listing} case={label}")
-            cactus._delete(adj, pre, cyc)
+            graphs.delete_vertices(adj, pre, cyc)
     return tuple(trace), places
 
 
@@ -455,6 +454,12 @@ class TestTextFormat:
     def test_rejects_duplicate_preoccupied_lines(self):
         text = "2 1\n0 1\npreoccupied 0\npreoccupied 1\n"
         with pytest.raises(ValueError):
+            parse_cactus_instance(text)
+
+    def test_rejects_repeated_preoccupied_vertex(self):
+        # Like a repeated edge, a repeated vertex is refused, not collapsed.
+        text = "2 1\n0 1\npreoccupied 1 1\n"
+        with pytest.raises(ValueError, match="^line 3: repeated preoccupied vertex 1$"):
             parse_cactus_instance(text)
 
     def test_rejects_bad_vertex_token(self):

@@ -89,6 +89,12 @@ class TestSolve:
         assert report["parameter"] == "additional-searchers"
         assert report["witness"]["preoccupied"] == [1, 3]
 
+    def test_repeated_preoccupied_vertex_is_parse_error(self, capsys, tmp_path):
+        path = write(tmp_path, "c4.el", "4 4\n0 1\n1 2\n2 3\n0 3\npreoccupied 1 3 1\n")
+        code, out, err = run(capsys, "solve", "--input", path)
+        assert (code, out) == (cli.PARSE_EXIT, "")
+        assert "line 6: repeated preoccupied vertex 1" in err
+
     def test_trace_goes_to_stderr(self, capsys, tmp_path):
         path = write(tmp_path, "bowtie.el", BOWTIE)
         code, out, err = run(capsys, "solve", "--input", path, "--trace")
@@ -403,6 +409,39 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--input", path, "--model", "czf")
         assert code == 1
         assert "--layout" in err
+
+    @pytest.mark.parametrize(
+        "model, flags, message",
+        [
+            ("cfms", ["--strategy", "place 0", "--layout", "0"], "--model cfms takes no --layout"),
+            ("czf", ["--layout", "0", "--strategy", "place 0"], "--model czf takes no --strategy"),
+            ("deduction", ["--layout", "0", "--strategy", "place 0"], "--model deduction takes no --strategy"),
+        ],
+    )
+    def test_flag_the_model_never_reads_is_usage_error(self, capsys, tmp_path, model, flags, message):
+        path = write(tmp_path, "k2.el", "2 1\n0 1\n")
+        code, out, err = run(capsys, "simulate", "--input", path, "--model", model, *flags)
+        assert (code, out) == (cli.USAGE_EXIT, "")
+        assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--method", "clique"], "--method clique needs --certificate"),
+        (["verify", "--certificate", "cert.json"], "--certificate needs --method clique"),
+        (["simulate", "--model", "czf"], "--model czf needs --layout"),
+        (["simulate", "--model", "cfms"], "--model cfms needs --strategy"),
+        (["simulate", "--model", "cfms", "--strategy", "place 0", "--layout", "0"], "takes no --layout"),
+    ],
+)
+def test_flags_checked_before_any_file_is_read(capsys, tmp_path, argv, message):
+    # A bad flag combination is a usage error (exit 1) even when the
+    # input file is missing, which would otherwise exit 2.
+    missing = str(tmp_path / "missing.el")
+    code, out, err = run(capsys, argv[0], "--input", missing, *argv[1:])
+    assert (code, out) == (cli.USAGE_EXIT, "")
+    assert message in err
 
 
 class TestGenerate:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onemove import graphs
+from onemove.exact import cfms_exact
 from onemove.graphs import (
     FamilySpec,
     Graph,
@@ -20,7 +21,7 @@ from onemove.graphs import (
     generate,
     induced_subgraph,
     parse_edge_list,
-    peel_pendants,
+    peel_leaves,
     strong_product_k2,
     subdivide_all,
     write_edge_list,
@@ -443,6 +444,15 @@ class TestOneWalkClassify:
         assert classify(g) == two_pass_classify(g)
 
 
+def peel_pendants(g):
+    """peel_leaves on all of g with no vertex occupied: the peeled pairs
+    (degree-1 end, other end) and the residual."""
+    adj = {v: set(ws) for v, ws in enumerate(g.adjacency())}
+    steps = peel_leaves(adj, set(), set(adj))
+    assert all(rule == 1 for rule, _, _ in steps)
+    return [(v, u) for _, v, u in steps], adj
+
+
 class TestPeelPendants:
     def test_lone_edge_orients_from_smaller_end(self):
         assert peel_pendants(Graph(2, frozenset({(0, 1)}))) == ([(0, 1)], {})
@@ -458,3 +468,53 @@ class TestPeelPendants:
         peeled, residual = peel_pendants(generate(FamilySpec("path", 5)))
         assert peeled == [(0, 1), (2, 3)]
         assert residual == {4: set()}
+
+
+@st.composite
+def hung_leaf_instances(draw):
+    """A random graph on up to 10 vertices, cactus or not and possibly
+    disconnected, with a leaf hung at a random vertex, and a preoccupied
+    set of density 0.1 to 0.5."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(1, 9)
+    density = rng.uniform(0.2, 0.8)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+    edges.add((rng.randrange(n), n))
+    share = rng.uniform(0.1, 0.5)
+    return Graph(n + 1, frozenset(edges)), frozenset(v for v in range(n + 1) if rng.random() < share)
+
+
+class TestPeelLeaves:
+    def test_lowest_rule_first(self):
+        # Leaf 0 and its neighbor 1 are occupied (rule 2), leaf 2 is not
+        # but 1 is (rule 4); once 0 is gone, occupied 1 is a leaf (rule 3).
+        adj = {0: {1}, 1: {0, 2}, 2: {1}, 3: set()}
+        pre = {0, 1}
+        assert peel_leaves(adj, pre, set(adj)) == [(2, 0, 1), (3, 1, 2)]
+        assert (adj, pre) == ({3: set()}, set())
+
+    def test_rule_one_then_slide_in(self):
+        adj = {v: set(ws) for v, ws in enumerate(generate(FamilySpec("path", 4)).adjacency())}
+        assert peel_leaves(adj, {3}, set(adj)) == [(1, 0, 1), (3, 3, 2)]
+        assert adj == {}
+
+    def test_only_dirty_vertices_are_scanned(self):
+        adj = {0: {1}, 1: {0, 2}, 2: {1}}
+        dirty = {2}
+        assert peel_leaves(adj, set(), dirty) == [(1, 2, 1)]
+        assert (adj, dirty) == ({0: set()}, {0, 2})
+
+    @settings(max_examples=1000, deadline=None)
+    @given(hung_leaf_instances())
+    def test_rule_one_steps_plus_residual_value(self, inst):
+        # cfms(G, P) is the count of rule-1 steps plus cfms of the
+        # residual with the occupied vertices left in it, on any graph.
+        g, pre = inst
+        adj = {v: set(ws) for v, ws in enumerate(g.adjacency())}
+        live = set(pre)
+        steps = peel_leaves(adj, live, set(adj))
+        assert all(len(ws) != 1 for ws in adj.values())
+        rest, relabel = induced_subgraph(g, adj)
+        placed = sum(rule == 1 for rule, _, _ in steps)
+        residual = cfms_exact(rest, frozenset(relabel[v] for v in live)).value
+        assert cfms_exact(g, pre).value == placed + residual

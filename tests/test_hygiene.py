@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +194,34 @@ def test_traced_names_resolve(module, path):
     for part in outer:
         owner = getattr(owner, part)
     assert attr in vars(owner), f"onemove.{module}.{path} is gone"
+
+
+# A dotted reference to a module of the package, with or without the
+# "onemove." prefix, in prose, code or a README example, and each name a
+# "from onemove.<module> import" line takes; file names such as cli.py
+# are not references.
+_MODULES = "graphs|cactus|engines|exact|families|deduction|solver|cli|constructions"
+_DOTTED = re.compile(rf"(?<![\w.])(?:onemove\.)?({_MODULES})(?!\.py\b)((?:\.[A-Za-z_]\w*)+)")
+_IMPORT = re.compile(rf"from onemove\.({_MODULES}) import ([\w, ]+)")
+
+
+def test_dotted_names_resolve():
+    # A docstring or the README that still names a removed or renamed
+    # function, such as families' mention of a deleted helper, fails here.
+    stale = []
+    for path in [*SOURCES, ROOT / "README.md"]:
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            refs = [(m[1], m[2][1:].split(".")) for m in _DOTTED.finditer(line)]
+            names = [(m[1], name.strip()) for m in _IMPORT.finditer(line) for name in m[2].split(",")]
+            refs += [(module, [name]) for module, name in names if name]
+            for module, parts in refs:
+                owner = importlib.import_module(f"onemove.{module}")
+                for part in parts:
+                    if not hasattr(owner, part):
+                        stale.append(f"{path.name}:{lineno}: {module}.{'.'.join(parts)}")
+                        break
+                    owner = getattr(owner, part)
+    assert stale == []
 
 
 def test_pendent_dismantle_takes_stats():
