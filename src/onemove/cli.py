@@ -162,10 +162,7 @@ def _simulate_cfms(g: Graph, strategy: Strategy, preoccupied: frozenset[int]) ->
         else:
             print(f"{label}: clears nothing")
     state = run.state()
-    if len(state.cleared_edges) == g.m:
-        print("cleared: all")
-    else:
-        print(f"cleared: {len(state.cleared_edges)}/{g.m}")
+    print("cleared:", "all" if state.cleared == g.m else f"{state.cleared}/{g.m}")
     unvisited = sorted(set(range(g.n)) - state.ever_occupied)
     if unvisited:
         print("unvisited:", " ".join(map(str, unvisited)))

@@ -5,6 +5,9 @@ colored vertex forces at most once, a searcher slides at most once.
 The sliding model's clearing rule lives in one public stepper, Clearing,
 which cfms_run, complete_with_slides and the CLI's simulate all drive;
 each action costs time in the degree of the vertex that gains a searcher.
+It keeps no edge set: an edge is cleared exactly when both of its ends
+have held a searcher, since a searcher leaves a vertex only along its
+last contaminated edge (Clearing gives the proof).  Success is O(1).
 """
 
 from __future__ import annotations
@@ -162,7 +165,8 @@ class CfmsState:
 
     moved holds vertices whose current searcher has already slid.  An edge
     clears when both endpoints hold searchers or when a searcher slides
-    along it.
+    along it.  visited and cleared count ever_occupied and cleared_edges;
+    a state from Clearing.state builds the four sets only when first read.
     """
 
     occupied: frozenset[int]
@@ -170,95 +174,108 @@ class CfmsState:
     cleared_edges: frozenset[Edge]
     ever_occupied: frozenset[int]
 
+    def __getattr__(self, name: str):  # reached only for an attribute that is not set
+        if name in ("visited", "cleared"):
+            return len(self.ever_occupied if name == "visited" else self.cleared_edges)
+        if name not in ("occupied", "moved", "cleared_edges", "ever_occupied"):
+            raise AttributeError(name)
+        g, status = self._graph, self._status
+        ever = frozenset(v for v in range(g.n) if status[v])
+        cleared = frozenset((a, b) for a, b in g.edges if status[a] and status[b])
+        occupied = frozenset(v for v in ever if status[v] < 3)
+        self.__init__(occupied, frozenset(v for v in ever if status[v] == 2), cleared, ever)
+        return getattr(self, name)
+
     def succeeded(self, g: Graph) -> bool:
         """Every edge cleared and every vertex held a searcher at some point."""
-        return len(self.cleared_edges) == g.m and len(self.ever_occupied) == g.n
+        return self.cleared == g.m and self.visited == g.n
 
 
 class Clearing:
     """The sliding model's clearing rule, applied one action at a time.
 
-    place, slide and apply return the edges an action cleared, or raise
-    StrategyError; state() snapshots the run.  contaminated[v] counts the
-    uncleared edges at v, so an action looks only at the neighbors of the
-    vertex that gains a searcher.
+    Invariant: an edge is cleared exactly when both of its ends have held
+    a searcher.  Proof: a searcher leaves a vertex only along its last
+    contaminated edge, so no action reaches a vacated vertex again.  If a
+    is occupied before b, a can leave only across ab, so it still holds
+    its searcher when b gains one, and ab clears then.  So a run keeps
+    status[v]: 0 never held a searcher, 1 holds one that has not slid, 2
+    holds one that slid there, 3 vacated; contaminated[v], the uncleared
+    edges at v; and the counts visited and cleared.  place, slide and
+    apply return the edges an action cleared, or raise StrategyError.
     """
 
     def __init__(self, g: Graph, preoccupied=frozenset()) -> None:
         self.g = g
         self.adj = g.adjacency()
         self.contaminated = [len(row) for row in self.adj]
-        self.occupied: set[int] = set()
-        self.moved: set[int] = set()
-        self.ever: set[int] = set()
-        self.cleared: set[Edge] = set()
+        self.status = bytearray(g.n)
+        self.visited = self.cleared = 0
         for v in sorted(set(preoccupied)):
             if not 0 <= v < g.n:
                 raise ValueError(f"preoccupied vertex {v} out of range")
-            self._occupy(v)
+            self._occupy(v, 1)
 
-    def _occupy(self, v: int) -> list[Edge]:
-        """Put a searcher on v and clear its edges to occupied neighbors.
-
-        No vertex is occupied twice, since a searcher leaves only along the
-        last contaminated edge at its vertex, so those edges are all fresh.
-        """
-        occupied, contaminated = self.occupied, self.contaminated
-        occupied.add(v)
-        self.ever.add(v)
-        fresh = [(v, w) if v < w else (w, v) for w in self.adj[v] if w in occupied]
-        self.cleared.update(fresh)
-        for a, b in fresh:
-            contaminated[a] -= 1
-            contaminated[b] -= 1
+    def _occupy(self, v: int, mark: int) -> list[int]:
+        """Put a searcher on v as status mark; returns the held neighbors, whose edges to v clear."""
+        status, contaminated = self.status, self.contaminated
+        status[v] = mark
+        fresh = []
+        for w in self.adj[v]:  # a loop, not a comprehension: faster at small degrees
+            if status[w]:
+                fresh.append(w)
+                contaminated[w] -= 1
+        contaminated[v] -= len(fresh)
+        self.visited += 1
+        self.cleared += len(fresh)
         return fresh
 
-    def contaminated_at(self, v: int) -> list[int]:
-        cleared = self.cleared
-        return [w for w in self.adj[v] if ((v, w) if v < w else (w, v)) not in cleared]
-
-    def place(self, v: int, i: int) -> list[Edge]:
-        """Action i puts a searcher on v; returns the edges it cleared."""
+    def _place(self, v: int, i: int) -> list[int]:
         if not 0 <= v < self.g.n:
             raise StrategyError(f"action {i}: place on vertex {v} out of range")
-        if v in self.occupied:
+        if 0 < self.status[v] < 3:
             raise StrategyError(f"action {i}: place on occupied vertex {v}")
         if self.adj[v] and not self.contaminated[v]:
             raise StrategyError(f"action {i}: place on cleared vertex {v}")
-        return self._occupy(v)
+        return self._occupy(v, 1)
 
-    def slide(self, u: int, v: int, i: int) -> list[Edge]:
-        """Action i slides the searcher at u to v; returns the edges it cleared."""
+    def _slide(self, u: int, v: int, i: int) -> list[int]:
+        status = self.status
         if not (0 <= u < self.g.n and 0 <= v < self.g.n):
             raise StrategyError(f"action {i}: slide ({u}, {v}) out of range")
         if not self.g.has_edge(u, v):
             raise StrategyError(f"action {i}: slide along missing edge ({u}, {v})")
-        if u not in self.occupied:
+        if not 0 < status[u] < 3:
             raise StrategyError(f"action {i}: slide from unoccupied vertex {u}")
-        if u in self.moved:
+        if status[u] == 2:
             raise StrategyError(f"action {i}: searcher at {u} has already slid")
-        if self.contaminated[u] != 1 or edge_key(u, v) in self.cleared:
+        if self.contaminated[u] != 1 or status[v]:  # u holds, so uv is cleared iff v has held
             raise StrategyError(
                 f"action {i}: ({u}, {v}) is not the unique contaminated edge at {u}; "
-                f"contaminated neighbors of {u} are {self.contaminated_at(u)}"
+                f"contaminated neighbors of {u} are {[w for w in self.adj[u] if not status[w]]}"
             )
-        fresh = self._occupy(v)  # u still holds its searcher, so (u, v) clears too
-        self.occupied.discard(u)
-        self.moved.add(v)
+        fresh = self._occupy(v, 2)  # u still holds its searcher, so (u, v) clears too
+        status[u] = 3
         return fresh
+
+    def place(self, v: int, i: int) -> list[Edge]:
+        """Action i puts a searcher on v; returns the edges it cleared."""
+        return [edge_key(v, w) for w in self._place(v, i)]
+
+    def slide(self, u: int, v: int, i: int) -> list[Edge]:
+        """Action i slides the searcher at u to v; returns the edges it cleared."""
+        return [edge_key(v, w) for w in self._slide(u, v, i)]
 
     def apply(self, act: PlaceAction | SlideAction, i: int) -> list[Edge]:
         """Action i of a Strategy; returns the edges it cleared."""
         return self.place(act[1], i) if act[0] == "place" else self.slide(act[1], act[2], i)
 
     def state(self) -> CfmsState:
-        """What the actions applied so far have cleared and occupied."""
-        return CfmsState(
-            occupied=frozenset(self.occupied),
-            moved=frozenset(self.moved),
-            cleared_edges=frozenset(self.cleared),
-            ever_occupied=frozenset(self.ever),
-        )
+        """A snapshot of the run: its counts, and a copy of status to build the sets from."""
+        state = CfmsState.__new__(CfmsState)  # frozen, so filled through its __dict__
+        vars(state).update(_graph=self.g, _status=bytes(self.status))
+        vars(state).update(visited=self.visited, cleared=self.cleared)
+        return state
 
 
 def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState:
@@ -271,7 +288,10 @@ def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState
     """
     run = Clearing(g, preoccupied)
     for i, act in enumerate(strategy.actions):
-        run.apply(act, i)
+        if act[0] == "place":
+            run._place(act[1], i)
+        else:
+            run._slide(act[1], act[2], i)
     return run.state()
 
 
@@ -288,25 +308,22 @@ def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
         raise ValueError("placement overlaps preoccupied vertices")
     run = Clearing(g, preoccupied)
     for i, v in enumerate(place_list):
-        run.place(v, i)
+        run._place(v, i)
     actions: list[tuple] = [("place", v) for v in place_list]
-    # Counts only fall, so a searcher becomes ready to slide only when an
-    # edge at it clears.  The heap gets each end of a cleared edge that is
-    # ready then, and skips what has stopped being ready since, so the
-    # lowest ready searcher comes out first.
-    def ready(w: int) -> bool:
-        return run.contaminated[w] == 1 and w in run.occupied and w not in run.moved
-
-    heap = [u for u in sorted(run.occupied) if ready(u)]
+    status, contaminated, adj = run.status, run.contaminated, run.adj
+    # A searcher is ready (status 1, one contaminated edge) only once an edge at
+    # it clears: the heap gets it then, and skips what has stopped being ready.
+    heap = [u for u in range(g.n) if status[u] == 1 and contaminated[u] == 1]
     while heap:
         u = heapq.heappop(heap)
-        if not ready(u):
+        if status[u] != 1 or contaminated[u] != 1:
             continue
-        (v,) = run.contaminated_at(u)
-        for e in run.slide(u, v, len(actions)):
-            for w in e:
-                if ready(w):
-                    heapq.heappush(heap, w)
+        for v in adj[u]:
+            if not status[v]:  # u's one contaminated edge leads to its one never-held neighbor
+                break
+        for w in run._slide(u, v, len(actions)):
+            if status[w] == 1 and contaminated[w] == 1:
+                heapq.heappush(heap, w)
         actions.append(("slide", u, v))
     return Strategy(tuple(actions))
 

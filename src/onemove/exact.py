@@ -534,51 +534,34 @@ def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:
 
 def _slides_clear(nbrs: list[int], full: int, occupied: int) -> bool:
     """Whether searchers on the occupied mask, sliding while they can,
-    clear every edge and visit every vertex.
+    visit every vertex, which clears every edge (see engines.Clearing).
 
-    cont[v] holds v's contaminated neighbors, and ready the searchers
-    that have not slid.  Rounds take the ready searchers in index order:
-    one whose vertex u has a single contaminated neighbor w slides there,
-    and w clears its edges to every occupied neighbor, u included.  A
-    searcher left with no contaminated edge never slides, so it leaves
-    ready too.  Every maximal slide order clears the same edges (see
-    complete_with_slides), so this order decides success.
+    A held vertex u's contaminated neighbors are nbrs[u] & ~ever.  Rounds
+    take the searchers that have not slid (ready) in index order: one with
+    a single contaminated neighbor slides there, one with none never will.
+    Every maximal slide order clears the same edges (complete_with_slides).
     """
-    cont = [x & ~occupied if occupied >> v & 1 else x for v, x in enumerate(nbrs)]
     ever = ready = occupied
-    progress = True
-    while progress:
-        progress = False
-        m = ready
+    before = None
+    while before != ever:  # until a round slides no searcher
+        before, m = ever, ready
         while m:
             b = m & -m
             m ^= b
-            w = cont[b.bit_length() - 1]
-            if w & (w - 1):
-                continue
-            ready ^= b
-            if w:
-                x = w.bit_length() - 1
-                near = nbrs[x] & occupied
-                cont[x] &= ~near
-                while near:
-                    c = near & -near
-                    near ^= c
-                    cont[c.bit_length() - 1] ^= w
-                occupied ^= b | w
+            w = nbrs[b.bit_length() - 1] & ~ever
+            if not w & (w - 1):
+                ready ^= b
                 ever |= w
-                progress = True
-    return ever == full and not any(cont)
+    return ever == full
 
 
 def cfms_exact(g: Graph, preoccupied=frozenset(), *, force: bool = False) -> ParameterResult:
     """Minimum searchers whose placements extend to a clearing strategy.
 
     A candidate placement set, with the pre-occupied vertices' free
-    searchers added, is played by _slides_clear, which slides searchers
-    while any can slide, and accepted when all edges clear and every
-    vertex was occupied at some point (a searcher must visit even an
-    edgeless vertex).  Pre-occupied vertices are excluded from placement.
+    searchers added, is played by _slides_clear and accepted when every
+    vertex, even an edgeless one, was occupied at some point, which
+    clears every edge.  Pre-occupied vertices are excluded from placement.
     The search starts at max(ceil(n/2), delta) - |pre| placements, delta
     the minimum degree: a searcher slides at most once, so it occupies at
     most two vertices, and every vertex must be occupied; at the first

@@ -17,7 +17,7 @@ forests, so a shape check hands them to cactus.cactus_solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .cactus import CactusInstance, cactus_solve
 from .deduction import Layout
@@ -44,10 +44,12 @@ class DismantlingOrdering:
 
     Removing a pendant edge deletes both endpoints.  The ordering is valid
     when every listed edge is pendant in the residual graph at its turn and
-    nothing but isolated vertices survives at the end.
+    nothing but isolated vertices survives at the end.  pendent_dismantle
+    also keeps its peel's (degree-1 end, other end) pairs, outside equality.
     """
 
     edges: tuple[Edge, ...]
+    pairs: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -82,7 +84,7 @@ def _peel(g: Graph) -> tuple[list[tuple[int, int]], dict[int, set[int]]]:
     return [(v, u) for _, v, u in steps], adj
 
 
-def _pairs_strategy(g: Graph, oriented: list[tuple[int, int]]) -> Strategy:
+def _pairs_strategy(g: Graph, oriented: list[Edge] | tuple[Edge, ...]) -> Strategy:
     """Strategy for pendant pairs (degree-1 end, other end) in deletion
     order: place on every vertex but the other ends, then slide each
     degree-1 end across its edge in turn."""
@@ -133,15 +135,16 @@ def pendent_dismantle(g: Graph, *, stats: dict | None = None) -> DismantlingOrde
 
     Greedy choice is safe (see graphs.peel_leaves, all of whose steps are
     rule 1 here), so the one leaf peel decides dismantlability without
-    search.  A stats dict gets "backtracks" = 0: the keyword stays
-    because perfbench's tracer passes it.
+    search; solver.solve builds its strategy from the ordering's pairs.
+    A stats dict gets "backtracks" = 0: the keyword stays because
+    perfbench's tracer passes it.
     """
     peeled, residual = _peel(g)
     if stats is not None:
         stats["backtracks"] = 0
     if any(residual.values()):
         return None
-    return DismantlingOrdering(tuple(edge_key(a, b) for a, b in peeled))
+    return DismantlingOrdering(tuple(edge_key(a, b) for a, b in peeled), tuple(peeled))
 
 
 def _replay_ordering(g: Graph, o: DismantlingOrdering) -> list[tuple[int, int]]:

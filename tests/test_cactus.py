@@ -68,13 +68,14 @@ def pinned_ring_clears(occupied):
     run = engines.Clearing(cycle_graph(ring))
     for i, p in enumerate(p for p in range(ring) if occupied[p]):
         run.place(p, i)
-    run.moved.add(0)
     while True:
-        ready = [u for u in sorted(run.occupied) if u not in run.moved and run.contaminated[u] == 1]
+        state = run.state()
+        ready = [u for u in sorted(state.occupied - state.moved) if u != 0 and run.contaminated[u] == 1]
         if not ready:
-            return len(run.cleared) == ring
-        (v,) = run.contaminated_at(ready[0])
-        run.slide(ready[0], v, 0)
+            return len(state.cleared_edges) == ring
+        u = ready[0]
+        (v,) = [w for w in run.adj[u] if edge_key(u, w) not in state.cleared_edges]
+        run.slide(u, v, 0)
 
 
 class TestInstance:

@@ -193,7 +193,7 @@ class TestSolve:
         assert {kind: len(calls) for kind, calls in replays.items() if calls} == {report["witness"]["kind"]: 1}
         if method == "dismantle":
             assert len(searches) == 1
-            assert len(orderings) == 1
+            assert len(orderings) == 0
         if method == "clique":
             assert len(validations) == 1
 
@@ -632,6 +632,23 @@ GOLDEN_SIMULATIONS = [
         "slide 6 2: clears (0,2) (1,2) (2,3) (2,6)\nslide 3 7: clears (3,7)\ncleared: all\nsuccess: true\n",
     ),
     (
+        BOWTIE, ["--model", "cfms", "--strategy", "place 0; place 2; slide 0 1"],
+        "place 0: clears nothing\nplace 2: clears (0,2)\nslide 0 1: clears (0,1) (1,2)\n"
+        "cleared: 3/6\nunvisited: 3 4\nsuccess: false\n",
+    ),
+    (
+        C4_PRE, ["--model", "cfms", "--strategy", "place 0; slide 1 2"],
+        "place 0: clears (0,1) (0,3)\nslide 1 2: clears (1,2) (2,3)\ncleared: all\nsuccess: true\n",
+    ),
+    (
+        C4_PRE, ["--model", "cfms", "--strategy", "place 0"],
+        "place 0: clears (0,1) (0,3)\ncleared: 2/4\nunvisited: 2\nsuccess: false\n",
+    ),
+    (
+        "3 1\n0 1\n", ["--model", "cfms", "--strategy", "place 0; place 1"],
+        "place 0: clears nothing\nplace 1: clears (0,1)\ncleared: all\nunvisited: 2\nsuccess: false\n",
+    ),
+    (
         WORKED, ["--model", "czf", "--layout", "0,1,2,3"],
         "force 2 -> 5\nforce 3 -> 4\nforce 1 -> 6\ncolored: all\n",
     ),
@@ -674,7 +691,8 @@ class TestGolden:
 
     @pytest.mark.parametrize(
         "text, argv, expected", GOLDEN_SIMULATIONS,
-        ids=["c6-cfms", "bowtie-cfms", "spiky-cfms", "worked-czf", "worked-deduction", "chain-deduction"],
+        ids=["c6-cfms", "bowtie-cfms", "spiky-cfms", "bowtie-cfms-fails", "c4-preoccupied-cfms",
+             "c4-preoccupied-cfms-fails", "isolated-unvisited-cfms", "worked-czf", "worked-deduction", "chain-deduction"],
     )
     def test_simulate_bytes(self, capsys, tmp_path, text, argv, expected):
         code, out, err = run(capsys, "simulate", "--input", write(tmp_path, "g.el", text), *argv)

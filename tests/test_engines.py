@@ -416,6 +416,80 @@ class TestAgainstRescan:
         assert outcome(cfms_run, g, strategy, pre) == outcome(rescan_run, g, actions, pre)
 
 
+@st.composite
+def altered_plays(draw):
+    """The canonical completion of sliding_inputs with one action replaced,
+    dropped or repeated, as in TestAgainstRescan."""
+    g, pre, places = draw(sliding_inputs())
+    actions = list(rescan_complete(g, places, pre).actions)
+    vertex = st.integers(-1, g.n)
+    k = draw(st.integers(0, len(actions)))
+    edit = draw(st.sampled_from(["place", "slide", "drop", "repeat"]))
+    if edit == "place":
+        actions[k : k + 1] = [("place", draw(vertex))]
+    elif edit == "slide":
+        actions[k : k + 1] = [("slide", draw(vertex), draw(vertex))]
+    elif actions:
+        j = draw(st.integers(0, len(actions) - 1))
+        if edit == "drop":
+            del actions[j]
+        else:
+            actions.insert(k, actions[j])
+    return g, pre, actions
+
+
+@st.composite
+def random_plays(draw):
+    """A legal play in any order from sliding_inputs' graph and preoccupied
+    vertices, then one action that may be illegal, as in TestAgainstRescan."""
+    g, pre, _ = draw(sliding_inputs())
+    adj = g.adjacency()
+    rng = draw(st.randoms(use_true_random=False))
+    actions: list[tuple] = []
+    while rng.random() < 0.9:
+        state = rescan_run(g, actions, pre)
+        contam = [[w for w in adj[v] if edge_key(v, w) not in state.cleared_edges] for v in range(g.n)]
+        legal = [("place", v) for v in range(g.n) if v not in state.occupied and (contam[v] or not adj[v])]
+        legal += [("slide", u, *contam[u]) for u in sorted(state.occupied - state.moved) if len(contam[u]) == 1]
+        if not legal:
+            break
+        actions.append(rng.choice(legal))
+    last = [("place", v) for v in range(g.n)] + [("slide", u, v) for u in range(g.n) for v in adj[u]]
+    actions.append(rng.choice(last))
+    return g, pre, actions
+
+
+class TestClearedIffBothEndsHeld:
+    """Clearing keeps no edge set: it counts an edge as cleared exactly
+    when both of its ends have held a searcher.  Every prefix of a play is
+    checked against the rescanning reference, which keeps the edge set,
+    and so is the O(1) verdict that certify reads."""
+
+    @staticmethod
+    def check_prefixes(g, pre, actions):
+        for k in range(len(actions) + 1):
+            want = outcome(rescan_run, g, actions[:k], pre)
+            got = outcome(cfms_run, g, Strategy(tuple(actions[:k])), pre)
+            if not isinstance(want, CfmsState):
+                assert got == want
+                return
+            assert got.succeeded(g) == want.succeeded(g)
+            assert (got.visited, got.cleared) == (len(want.ever_occupied), len(want.cleared_edges))
+            ever = want.ever_occupied
+            assert want.cleared_edges == {(a, b) for a, b in g.edges if a in ever and b in ever}
+            assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(altered_plays())
+    def test_altered_plays(self, play):
+        self.check_prefixes(*play)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_plays())
+    def test_random_plays(self, play):
+        self.check_prefixes(*play)
+
+
 def rescan_czf(g: Graph, initial):
     """Reference forcing play: every unspent initial vertex is rescanned in
     ascending order until a whole pass forces nothing."""
