@@ -6,28 +6,29 @@ process oracles simulate their own process definitions and share no
 shortcuts beyond the graph representation, and the matching oracle
 searches orderings of matchings without playing any process.
 
-The forcing search plays each size class of start sets with a scalar
-bitset closure while the class is small; from _VECTOR_CUTOFF subsets up
-it streams the class as numpy rows, built chunk by chunk, to one sweep
-driver, _first_hit, which finds the first row in enumeration order whose
-process reaches every vertex.  The deduction search sends every total to
-that driver as layout count rows; its masks are 16-bit, so it takes at
-most 16 vertices.  Each oracle passes the driver its own firing step, so
-each still plays its own process.  The sliding search plays every
-placement set with its own scalar bitset step, _slides_clear, and
-replays only the winner through the engines.
+The forcing search plays each size class of start sets bit-sliced in
+pure Python: a part of the class, at most _SWEEP_CHUNK start sets, is one
+int per vertex whose bit i says whether start set i holds it, and a round
+of the forcing rule costs a few int operations per edge on every start
+set at once (_least_forcing_row).  The deduction search streams every
+total as numpy layout count rows to the sweep driver _first_hit, which
+finds the first row in enumeration order whose process protects every
+vertex; its masks are 16-bit, so it takes at most 16 vertices.  The
+sliding search plays every placement set with its own scalar bitset
+step, _slides_clear, and replays only the winner through the engines.
+Each oracle plays its own process.
 
-No oracle keeps a result between calls.  Four tables outlive a call:
+No oracle keeps a result between calls.  Three tables outlive a call:
 _fire_need, the 16-bit popcount the deduction sweep reads;
 _LAYOUT_TABLES, its read-only layout tables of at most _LAYOUT_CHUNK
-rows each; _combo_masks_small's cache of up to 128 small subset
-classes; and czf_value_table's _TABLE_CACHE of one value table per
-n <= 7.  Each is filled on first use and depends only on its
-arguments, never on a graph searched before.
+rows each; and czf_value_table's _TABLE_CACHE of one value table per
+n <= 7.  Each is filled on first use and depends only on its arguments,
+never on a graph searched before.  The forcing search's membership
+bitsets (_member_bits) are kept for one czf_exact component only.
 
-numpy is imported inside the functions that use it, so only the vector
-sweeps and czf_value_table load it; the scalar forcing loop, the
-sliding search and every solver outside this module run without it.
+numpy is imported inside the functions that use it, so only d_exact's
+sweep and czf_value_table load it; czf_exact, cfms_exact, mu_exact and
+every solver outside this module run without it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from .deduction import Layout, run_deduction
 from .engines import cfms_run, complete_with_slides
 from .graphs import Graph, adjacency_masks, connected_components, edge_key, induced_subgraph
 
+# The forcing search's slowest 24-vertex inputs measured are G(24, p)
+# with p = 0.45..0.6: 0.10-0.22 s over seeds 1-3 and two runs.  G(24, p)
+# at the other p from 0.1 to 0.95 took at most 0.17 s, and the star, the
+# path and K(12, 12) at most 0.11 s.
 CZF_EXACT_CEILING = 24
 # The deduction search's worst case at a given n is a star: every total
 # from ceil(n/2) to n - 2 is swept in full.  It took 0.47-0.67 s at
@@ -54,15 +59,12 @@ D_EXACT_CEILING = 13
 CFMS_EXACT_CEILING = 15
 MU_EXACT_CEILING = 16
 
-# Below this class size the scalar forcing loop beats the numpy setup
-# cost.  Per size class of random graphs with n = 10..13, the scalar
-# subset loop was faster up to 715 subsets (0.26 against 0.53 ms) and the
-# numpy sweep from 792 subsets up (0.57 against 0.71 ms); the oracles'
-# n <= 11 graphs (at most 462 subsets) stay scalar.
-_VECTOR_CUTOFF = 768
-# Most masks per numpy forcing-sweep chunk, and layout rows in the first
-# deduction-sweep chunk: the sweep stops after the first chunk with a hit.
-_SWEEP_CHUNK = 1 << 15
+# Most start sets per forcing-sweep part, and layout rows in the first
+# deduction-sweep chunk: each sweep stops after the first part or chunk
+# with a hit.  On noncactus-route's exact-route inputs, 2^13 start sets
+# per part swept 17% faster than 2^15 (an early hit ends a smaller
+# part), and the n = 24 inputs named above about 20% slower.
+_SWEEP_CHUNK = 1 << 13
 _LAYOUT_CHUNK = 1 << 9
 
 
@@ -153,123 +155,117 @@ class UniquenessWitness:
 # ---------------------------------------------------------------------------
 
 
-def _czf_closure_mask(nbrs: list[int], start: int) -> int:
-    """Bitset forcing closure from the initial colored mask."""
-    colored = start
-    active = start
-    progress = True
-    while progress:
-        progress = False
-        m = active
-        while m:
-            b = m & -m
-            m ^= b
-            unc = nbrs[b.bit_length() - 1] & ~colored
-            if unc and unc & (unc - 1) == 0:
-                colored |= unc
-                active ^= b
-                progress = True
-    return colored
-
-
-def _combo_masks(n: int, k: int, low: int = 0) -> np.ndarray:
-    """Every k-subset of {low, ..., n-1} as a bitmask, in
-    itertools.combinations order.
-
-    T[j][r], the r-subsets of {j, ..., n-1} in that order, is the subsets
-    holding j (j joined to T[j+1][r-1]) followed by T[j+1][r].  Rows with
-    r < k - (j - low) cannot grow to size k by j = low, so they are never
-    built.
-    """
-    import numpy as np
-
-    empty = np.zeros(0, dtype=np.uint32)
-    rows = {0: np.zeros(1, dtype=np.uint32)}
-    for j in range(n - 1, low - 1, -1):
-        bit = np.uint32(1 << j)
-        rows = {
-            r: np.concatenate((rows.get(r - 1, empty) | bit, rows.get(r, empty)))
-            for r in range(max(0, k - (j - low)), min(k, n - j) + 1)
-        }
-    return rows[k]
-
-
-def _mask_parts(n: int, j: int, k: int, prefix: int, size: int, tables: dict):
-    """prefix plus each k-subset of {j, ..., n-1}, as uint32 bitmasks, in
-    parts of at most size masks (see _mask_chunks)."""
-    import numpy as np
-
-    if comb(n - j, k) <= size:
-        suffix = tables.get((j, k))
-        if suffix is None:
-            suffix = tables[(j, k)] = _combo_masks(n, k, j)
-        yield suffix | np.uint32(prefix) if prefix else suffix
-    else:
-        yield from _mask_parts(n, j + 1, k - 1, prefix | 1 << j, size, tables)
-        yield from _mask_parts(n, j + 1, k, prefix, size, tables)
-
-
 def _mask_chunks(n: int, k: int, size: int):
-    """Every k-subset of range(n) as a uint32 bitmask, in
-    itertools.combinations order, in parts of at most size masks.
+    """Every k-subset of range(n) in itertools.combinations order, as
+    (prefix, j, r) parts of at most size subsets: the mask prefix of
+    vertices below j joined to each r-subset of {j, ..., n-1}.  Subsets
+    holding j come first, so a class splits on its leading element.  A
+    stack, not recursion, holds the splits, so n may pass the interpreter's
+    recursion limit."""
+    todo = [(0, 0, k)]
+    while todo:
+        prefix, j, r = todo.pop()
+        if comb(n - j, r) <= size:
+            yield prefix, j, r
+        else:
+            todo.append((prefix, j + 1, r))
+            todo.append((prefix | 1 << j, j + 1, r - 1))
 
-    The class splits on its leading element by the rule in _combo_masks
-    until a part has at most size subsets; a part is then the suffix class
-    _combo_masks(n, r, j) with the prefix ORed in.  Only one part and the
-    suffix classes, kept for this stream alone, are held: C(24, 12)
-    streams in 114 parts from 8 suffix classes, 0.7 MB in all.  A class
-    of at most size subsets is a single part, returned as built.
+
+def _member_bits(m: int, r: int, tables: dict) -> list[int]:
+    """M(m, r): bit i of entry v is set when the i-th r-subset of range(m)
+    in combinations order holds v.  The first C(m-1, r-1) subsets hold 0,
+    so M(m, r)[0] is all ones over them and M(m, r)[v+1] is M(m-1, r-1)[v]
+    followed by M(m-1, r)[v].  tables keeps every M built for one search;
+    the ones M(m, r) needs are built bottom up, smallest m first."""
+    if (m, r) not in tables:
+        for mm in range(m + 1):
+            for rr in range(max(0, r - m + mm), min(r, mm) + 1):
+                if (mm, rr) in tables:
+                    continue
+                if rr == 0 or rr == mm:
+                    # A single subset: no vertex, or every vertex.
+                    bits = [1 if rr else 0] * mm
+                else:
+                    shift = comb(mm - 1, rr - 1)
+                    pairs = zip(tables[mm - 1, rr - 1], tables[mm - 1, rr])
+                    bits = [(1 << shift) - 1] + [a | b << shift for a, b in pairs]
+                tables[mm, rr] = bits
+    return tables[m, r]
+
+
+def _least_forcing_row(adj, start: list[int], live: int) -> int | None:
+    """Index of the first row whose forcing closure colors every vertex.
+
+    Rows are bit positions: bit i of start[v] is set when row i starts
+    with v colored, and live holds every row.  A round visits v = 0, ...,
+    n-1 and fires v in every live row where v started colored and has
+    exactly one uncolored neighbor, which it colors.  A vertex that has
+    fired has no uncolored neighbor left, so it never fires twice.  A row
+    leaves once a round fires nothing in it (its closure is reached) or
+    leaves nothing uncolored, and once a hit is known every later row
+    leaves too, so the last hit found is the least one.
     """
-    return _mask_parts(n, 0, k, 0, size, {})
+    uncolored = [live & ~s for s in start]
+    best = None
+    while live:
+        fired = 0
+        for v, nbrs in enumerate(adj):
+            cand = start[v] & live
+            one = 0
+            for w in nbrs:
+                u = uncolored[w] & cand
+                if u:
+                    # Rows with two uncolored neighbors drop out of cand.
+                    cand ^= one & u
+                    one |= u
+                    if not cand:
+                        break
+            fire = cand & one
+            if fire:
+                fired |= fire
+                keep = ~fire
+                for w in nbrs:
+                    uncolored[w] &= keep
+        left = 0
+        for u in uncolored:
+            left |= u
+        done = live & ~left
+        if done:
+            # Every live row precedes the best hit so far, so a new hit
+            # is always the new least one.
+            best = (done & -done).bit_length() - 1
+            fired &= (1 << best) - 1
+        live = fired
+    return best
 
 
-@lru_cache(maxsize=128)
-def _combo_masks_small(n: int, k: int) -> tuple[int, ...]:
-    """The masks of _combo_masks as Python ints, built without numpy."""
-    return tuple(sum(1 << v for v in c) for c in itertools.combinations(range(n), k))
+def _first_full(adj, k: int, tables: dict) -> int | None:
+    """The first k-subset mask in combinations order whose forcing closure
+    colors every vertex, played one _mask_chunks part at a time: start[v]
+    is v's membership over the part's rows, all ones or 0 below the part's
+    j and _member_bits' M(n - j, r) above it."""
+    n = len(adj)
+    for prefix, j, r in _mask_chunks(n, k, _SWEEP_CHUNK):
+        ones = (1 << comb(n - j, r)) - 1
+        start = [ones if prefix >> v & 1 else 0 for v in range(j)] + _member_bits(n - j, r, tables)
+        row = _least_forcing_row(adj, start, ones)
+        if row is not None:
+            return sum(1 << v for v in range(n) if start[v] >> row & 1)
+    return None
 
 
-def _first_full(nbrs: list[int], n: int, k: int) -> int | None:
-    """The first k-subset mask whose forcing closure colors every vertex.
-
-    The class streams from _mask_chunks in parts of at most _SWEEP_CHUNK
-    masks.  Each round applies the forcing rule vertex by vertex to every
-    live row.  A vertex that has forced has no uncolored neighbor left, so
-    it needs no flag to keep it from forcing twice.
-    """
-    import numpy as np
-
-    one, zero = np.uint32(1), np.uint32(0)
-    nb = [np.uint32(x) for x in nbrs]
-
-    def force_round(start: np.ndarray, colored: np.ndarray) -> None:
-        for v in range(n):
-            unc = nb[v] & ~colored
-            # unc == 0 passes this test too, and then adds nothing.
-            single = (unc & (unc - one)) == zero
-            single &= (start >> np.uint32(v)) & one != zero
-            colored |= unc * single
-
-    chunks = ((part, part.copy()) for part in _mask_chunks(n, k, _SWEEP_CHUNK))
-    hit = _first_hit(chunks, np.uint32((1 << n) - 1), force_round)
-    return None if hit is None else int(hit)
-
-
-def _min_forcing_set(nbrs: list[int], n: int, lower: int) -> tuple[int, int]:
-    """Smallest mask whose forcing closure colors everything.
+def _min_forcing_set(adj, lower: int) -> tuple[int, int]:
+    """Smallest mask whose forcing closure colors everything, adj holding
+    each vertex's neighbors.
 
     Returns (size, mask); ties break by combination enumeration order.
     """
-    full = (1 << n) - 1
-    for k in range(max(lower, 1), n + 1):
-        if comb(n, k) >= _VECTOR_CUTOFF:
-            mask = _first_full(nbrs, n, k)
-            if mask is not None:
-                return k, mask
-        else:
-            for mask in _combo_masks_small(n, k):
-                if _czf_closure_mask(nbrs, mask) == full:
-                    return k, mask
+    tables: dict = {}
+    for k in range(max(lower, 1), len(adj) + 1):
+        mask = _first_full(adj, k, tables)
+        if mask is not None:
+            return k, mask
     raise AssertionError("the full vertex set always forces itself")
 
 
@@ -283,12 +279,11 @@ def czf_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     colored, so at least deg v vertices start colored (with no force at
     all, every vertex does).  The ceiling counts the widest component:
     one past it is refused before any component is searched unless force
-    is given, and one over 32 vertices, whose subsets do not fit the
-    uint32 masks, even then.
+    is given.
     """
     components = connected_components(g)
     widest = max(map(len, components), default=0)
-    _check_ceiling("czf_exact", widest, CZF_EXACT_CEILING, force, limit=32, part="component")
+    _check_ceiling("czf_exact", widest, CZF_EXACT_CEILING, force, part="component")
     total = 0
     witness: list[int] = []
     for comp in components:
@@ -296,13 +291,12 @@ def czf_exact(g: Graph, *, force: bool = False) -> ParameterResult:
             total += 1
             witness.extend(comp)
             continue
-        sub, relabel = induced_subgraph(g, comp)
-        back = {new: old for old, new in relabel.items()}
-        nbrs = adjacency_masks(sub)
-        lower = max((sub.n + 1) // 2, min(x.bit_count() for x in nbrs))
-        size, mask = _min_forcing_set(nbrs, sub.n, lower)
+        # comp is sorted, and induced_subgraph numbers it in that order.
+        adj = (g if len(comp) == g.n else induced_subgraph(g, comp)[0]).adjacency()
+        lower = max((len(adj) + 1) // 2, min(map(len, adj)))
+        size, mask = _min_forcing_set(adj, lower)
         total += size
-        witness.extend(back[v] for v in range(sub.n) if mask >> v & 1)
+        witness.extend(comp[v] for v in range(len(adj)) if mask >> v & 1)
     return ParameterResult(total, sorted(witness), "exact")
 
 
@@ -342,7 +336,8 @@ def czf_value_table(n: int) -> np.ndarray:
     # a value below ceil(n/2).  Each start set is played on the graphs it
     # may still solve, and a graph leaves the round loop at its closure.
     for k in range((n + 1) // 2, n + 1):
-        for start in _combo_masks_small(n, k):
+        for combo in itertools.combinations(range(n), k):
+            start = sum(1 << v for v in combo)
             rows = pending
             nb = [nbr[v][rows] for v in range(n) if start >> v & 1]
             colored = np.full(rows.size, start, dtype=np.uint8)
@@ -504,7 +499,7 @@ def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     searchers, then c >= |N(v) - P|, so the total is at least
     c + |N(v) & P| >= deg v; with no firing every vertex holds a searcher.
     Each total goes to _first_layout, which sweeps its layouts as numpy
-    count rows through the shared driver _first_hit; the first success in
+    count rows through the sweep driver _first_hit; the first success in
     combinations_with_replacement order wins, and it is replayed once
     through run_deduction.  Refuses graphs above D_EXACT_CEILING unless
     force is given, and graphs over 16 vertices, whose vertex sets do not

@@ -1,7 +1,11 @@
 """End-to-end command line behavior: reports, traces, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -120,13 +124,16 @@ class TestSolve:
         report = json.loads(out)
         assert (report["method"], report["value"]) == ("exact", 24)
 
-    def test_forced_exact_refuses_past_mask_width(self, capsys, tmp_path):
+    def test_forced_exact_past_32_vertices(self, capsys, tmp_path):
         n = 33
         pairs = [f"{u} {v}" for u in range(n) for v in range(u + 1, n)]
         path = write(tmp_path, "k33.el", "\n".join([f"{n} {len(pairs)}", *pairs]) + "\n")
-        code, _, err = run(capsys, "solve", "--input", path, "--method", "exact", "--force")
+        code, _, err = run(capsys, "solve", "--input", path, "--method", "exact")
         assert code == 2
         assert "refused" in err
+        code, out, _ = run(capsys, "solve", "--input", path, "--method", "exact", "--force")
+        assert code == 0
+        assert (json.loads(out)["method"], json.loads(out)["value"]) == ("exact", 32)
 
     def test_clique_method_needs_certificate(self, capsys, tmp_path):
         path = write(tmp_path, "k4.el", K4)
@@ -235,6 +242,39 @@ class TestRepeatedCalls:
         assert answer("solve", "--input", bowtie, "--method", "exact")[1]["method"] == "exact"
         assert answer("verify", "--input", pre)[2] == ""
         assert answer("solve", "--input", bowtie) == first
+
+
+# Run in a fresh interpreter: runs each command line given as JSON and
+# prints its exit code and whether numpy was loaded after it.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from onemove import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_forcing_search_runs_without_numpy(tmp_path):
+    # A 12-cycle with a chord has no pendant edge and two cycles through
+    # the chord, so solve takes the exact route; verify on a 12-vertex
+    # path runs the czf_exact oracle.  Both sweep a class of C(12, 6)
+    # start sets.
+    chorded = "\n".join(["12 13", "0 6", *(f"{i} {(i + 1) % 12}" for i in range(12))]) + "\n"
+    path_graph = "\n".join(["12 11", *(f"{i} {i + 1}" for i in range(11))]) + "\n"
+    runs = [
+        ["solve", "--input", write(tmp_path, "chorded.el", chorded)],
+        ["verify", "--input", write(tmp_path, "path.el", path_graph)],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout) == [[0, False], [0, False]]
 
 
 class TestVerify:

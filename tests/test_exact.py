@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 from math import comb
@@ -213,16 +214,37 @@ class TestCeilings:
         with pytest.raises(ValueError, match="force=True"):
             czf_exact(g)
 
-    def test_czf_refuses_wide_component_even_forced(self, monkeypatch):
-        # Subset masks are uint32: K33 used to overflow inside the search.
-        def no_masks(*args):
-            raise AssertionError("a mask was built before the refusal")
+    def test_czf_forced_past_32_vertices(self, monkeypatch):
+        # The sweep's rows are Python ints, so no mask width caps a forced
+        # search; the ceiling still refuses K33 before any bitset is built.
+        def no_bits(*args):
+            raise AssertionError("a bitset was built before the refusal")
 
-        monkeypatch.setattr(exact, "_combo_masks", no_masks)
-        monkeypatch.setattr(exact, "_combo_masks_small", no_masks)
         g = Graph(33, frozenset((u, v) for u in range(33) for v in range(u + 1, 33)))
-        with pytest.raises(ValueError, match="refused"):
-            czf_exact(g, force=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "_member_bits", no_bits)
+            with pytest.raises(ValueError, match="force=True"):
+                czf_exact(g)
+        res = czf_exact(g, force=True)
+        assert res.value == 32
+        assert czf_run(g, res.witness).succeeded(g)
+
+    def test_czf_forced_search_is_not_recursive(self):
+        # A forced component may have more vertices than the recursion
+        # limit has frames, so no step recurses once per vertex: K150's
+        # search must run within 60 frames of this one.
+        g = generate(FamilySpec("complete", 150))
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            res = czf_exact(g, force=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.value == 149
+        assert czf_run(g, res.witness).succeeded(g)
 
     def test_czf_ceiling_is_per_component(self):
         # Two disjoint K13: n = 26 is past the ceiling, each component is not.
@@ -233,7 +255,7 @@ class TestCeilings:
         assert czf_run(g, res.witness).succeeded(g)
 
     def test_czf_forced_limit_is_per_component(self):
-        # Two 17-vertex paths: n = 34, but each component fits a mask.
+        # Two 17-vertex paths: n = 34, searched one component at a time.
         g = Graph(34, frozenset((i, i + 1) for i in range(33) if i != 16))
         assert czf_exact(g, force=True).value == 18
 
@@ -282,22 +304,31 @@ class TestCeilings:
 
 
 class TestVectorPath:
-    def test_sweep_matches_scalar(self, monkeypatch):
+    def test_sweep_matches_scalar(self):
+        # Every size class, against czf_run played on one start set at a
+        # time in itertools.combinations order.
         rng = random.Random(7)
-        results = []
         for _ in range(15):
             g = random_graph(rng, 6, 0.45)
-            results.append((g, czf_exact(g).value))
-        monkeypatch.setattr(exact, "_VECTOR_CUTOFF", 1)
-        for g, expected in results:
-            assert czf_exact(g).value == expected
+            for k in range(1, 7):
+                first = next(
+                    (
+                        sum(1 << v for v in c)
+                        for c in itertools.combinations(range(6), k)
+                        if czf_run(g, c).succeeded(g)
+                    ),
+                    None,
+                )
+                assert exact._first_full(g.adjacency(), k, {}) == first, (g.edges, k)
 
     def test_masks_in_combinations_order(self):
+        # Bit i of member bitset v is set when the i-th combination holds v.
         for n in range(15):
+            tables = {}
             for k in range(n + 1):
-                expected = [sum(1 << v for v in c) for c in itertools.combinations(range(n), k)]
-                assert exact._combo_masks(n, k).tolist() == expected, (n, k)
-                assert exact._combo_masks_small(n, k) == tuple(expected), (n, k)
+                combos = list(itertools.combinations(range(n), k))
+                expected = [sum(1 << i for i, c in enumerate(combos) if v in c) for v in range(n)]
+                assert exact._member_bits(n, k, tables) == expected, (n, k)
 
     def test_sweep_returns_least_hit(self, monkeypatch):
         # The path 1-0-3-2 with two start vertices: {0, 1} fails, {0, 2}
@@ -305,21 +336,28 @@ class TestVectorPath:
         # and {1, 3} are full after one.  The sweep must still return {0, 2}.
         g = Graph(4, frozenset({(0, 1), (0, 3), (2, 3)}))
         nbrs = adjacency_masks(g)
-        masks = exact._combo_masks(4, 2)
+        masks = reference_combo_masks(4, 2)
         assert int(np.flatnonzero(reference_closure_sweep(nbrs, 4, masks) == 0b1111)[0]) == 1
-        for chunk in (1, 2, 3, 1 << 15):
+        for chunk in (1, 2, 3, exact._SWEEP_CHUNK):
             monkeypatch.setattr(exact, "_SWEEP_CHUNK", chunk)
-            assert exact._first_full(nbrs, 4, 2) == masks[1] == 0b0101
-        assert exact._first_full(nbrs, 4, 1) is None
+            assert exact._first_full(g.adjacency(), 2, {}) == masks[1] == 0b0101
+            assert exact._first_full(g.adjacency(), 1, {}) is None
 
     def test_mask_chunks_concatenate_to_class(self):
         for n in range(15):
             for k in range(n + 1):
-                expected = exact._combo_masks(n, k).tolist()
+                expected = [sum(1 << v for v in c) for c in itertools.combinations(range(n), k)]
                 for size in (1, 7, exact._SWEEP_CHUNK):
-                    chunks = list(exact._mask_chunks(n, k, size))
-                    assert all(c.dtype == np.uint32 and 1 <= c.size <= size for c in chunks)
-                    assert [m for c in chunks for m in c.tolist()] == expected, (n, k, size)
+                    tables, rows = {}, []
+                    for prefix, j, r in exact._mask_chunks(n, k, size):
+                        count = comb(n - j, r)
+                        assert prefix < 1 << j and 1 <= count <= size
+                        bits = exact._member_bits(n - j, r, tables)
+                        rows += [
+                            prefix | sum(1 << (j + v) for v, b in enumerate(bits) if b >> i & 1)
+                            for i in range(count)
+                        ]
+                    assert rows == expected, (n, k, size)
 
 
     def test_layout_rows_in_combinations_with_replacement_order(self):
@@ -596,29 +634,24 @@ class TestAgainstReferences:
 
 class TestForcingSearch:
     @pytest.mark.parametrize(
-        "cutoff, chunk",
-        [(exact._VECTOR_CUTOFF, exact._SWEEP_CHUNK), (1, exact._SWEEP_CHUNK), (1, 64)],
-        ids=["default", "all-numpy", "all-numpy-small-chunks"],
+        "chunk", [exact._SWEEP_CHUNK, 1, 64], ids=["default", "parts-of-1", "parts-of-64"]
     )
     @settings(max_examples=100, deadline=None)
     @given(g=forcing_graphs())
-    def test_matches_reference_sweep(self, cutoff, chunk, g):
+    def test_matches_reference_sweep(self, chunk, g):
         nbrs = adjacency_masks(g)
         lower = (g.n + 1) // 2
-        with mock.patch.object(exact, "_VECTOR_CUTOFF", cutoff), mock.patch.object(
-            exact, "_SWEEP_CHUNK", chunk
-        ):
-            assert exact._min_forcing_set(nbrs, g.n, lower) == reference_min_forcing_set(
+        with mock.patch.object(exact, "_SWEEP_CHUNK", chunk):
+            assert exact._min_forcing_set(g.adjacency(), lower) == reference_min_forcing_set(
                 nbrs, g.n, lower
             )
 
     def test_ceiling_budget(self):
         # G(24, 0.3) has value 12 = ceil(24/2): one size class of C(24, 12)
-        # start sets, the largest the ceiling admits.  The class streams in
-        # chunks, so memory stays far below the class's 10.8 MB of masks.
+        # start sets, the largest the ceiling admits.  The class is swept
+        # in parts, so memory stays far below one bit per vertex and start
+        # set for the whole class.
         g = random_graph(random.Random(3), 24, 0.3)
-        # exact imports numpy lazily.  This module imports it at the top,
-        # so numpy's own import (about 6.6 MB traced) is not counted here.
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -681,12 +714,12 @@ class TestMinDegreeFloor:
     def test_searches_start_at_min_degree(self, count_calls):
         # K6 has ceil(6/2) = 3 but minimum degree 5.
         g = generate(FamilySpec("complete", 6))
-        closures = count_calls(exact._czf_closure_mask)
+        classes = count_calls(exact._first_full)
         sweeps = count_calls(exact._first_layout)
         slides = count_calls(exact._slides_clear)
         completions = count_calls(complete_with_slides)
         assert czf_exact(g).value == d_exact(g).value == cfms_exact(g).value == 5
-        assert min(bin(args[1]).count("1") for args in closures) == 5
+        assert min(args[1] for args in classes) == 5
         assert min(args[2] for args in sweeps) == 5
         assert min(args[2].bit_count() for args in slides) == 5
         assert min(len(args[1]) for args in completions) == 5

@@ -163,13 +163,12 @@ def test_cli_only_parses_and_prints():
     assert (private, called) == ([], [])
 
 
-def test_sliding_oracle_stays_off_the_other_oracles_paths():
-    # cfms_exact, and every exact.py function it reaches, names neither
-    # the deduction search's code nor numpy, so the oracles stay
-    # independent and the sliding search loads nothing at run time.
+def _names_reached(oracle):
+    """Every name that oracle, and each exact.py function it reaches,
+    mentions, mapped to the first function seen mentioning it."""
     tree = ast.parse((ROOT / "src" / "onemove" / "exact.py").read_text())
     defs = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
-    names, todo = {}, ["cfms_exact"]
+    names, todo = {}, [oracle]
     while todo:
         owner = todo.pop()
         for node in ast.walk(defs[owner]):
@@ -180,8 +179,24 @@ def test_sliding_oracle_stays_off_the_other_oracles_paths():
                 if name in defs and name not in names:
                     todo.append(name)
                 names.setdefault(name, owner)
+    return names
+
+
+def test_sliding_oracle_stays_off_the_other_oracles_paths():
+    # cfms_exact, and every exact.py function it reaches, names neither
+    # the deduction search's code nor numpy, so the oracles stay
+    # independent and the sliding search loads nothing at run time.
+    names = _names_reached("cfms_exact")
     assert "_slides_clear" in names
     banned = {"d_exact", "_first_hit", "_first_layout", "numpy", "np"}
+    assert {name: owner for name, owner in names.items() if name in banned} == {}
+
+
+def test_forcing_oracle_stays_off_the_other_oracles_paths():
+    # The same for czf_exact: its sweep is its own and pure Python.
+    names = _names_reached("czf_exact")
+    assert "_least_forcing_row" in names
+    banned = {"d_exact", "_first_hit", "_first_layout", "_slides_clear", "numpy", "np"}
     assert {name: owner for name, owner in names.items() if name in banned} == {}
 
 
@@ -255,20 +270,16 @@ print(json.dumps(seen))
 
 
 def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
-    # numpy serves only the exhaustive searches' vector sweeps and
-    # czf_value_table, and the process pool only probe --jobs.  verify on
-    # a preoccupied cactus runs the cactus solver and the sliding oracle,
-    # which use neither.
+    # numpy serves only d_exact's sweep and czf_value_table, and the
+    # process pool only probe --jobs.  verify on a preoccupied cactus runs
+    # the cactus solver and the sliding oracle, which use neither.
     k4_corona = [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(v, v + 4) for v in range(4)]
     graphs = {
         "tree": generate(FamilySpec("star", 9)),
         "unicyclic": generate(FamilySpec("cycle", 7)),
         "cactus": Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
         "dismantle": Graph(8, k4_corona),
-        # Every size class of C8 is below the vector cutoff, so the
-        # exhaustive search stays scalar.
-        "exact-scalar": generate(FamilySpec("cycle", 8)),
-        # Its first size class, C(12, 6) = 924 start sets, reaches the cutoff.
+        # The forcing search, on a size class of C(12, 6) = 924 start sets.
         "exact": generate(FamilySpec("cycle", 12)),
     }
     runs = []
@@ -276,7 +287,9 @@ def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
         path = tmp_path / f"{name}.el"
         path.write_text(write_edge_list(g))
         argv = ["solve", "--input", str(path)]
-        runs.append((name, argv + (["--method", "exact"] if name.startswith("exact") else [])))
+        runs.append((name, argv + (["--method", "exact"] if name == "exact" else [])))
+    # verify after the exact method runs the deduction oracle.
+    runs.append(("verify-exact", ["verify", "--input", str(path), "--method", "exact"]))
     path = tmp_path / "verify-preoccupied.el"
     path.write_text(write_edge_list(graphs["cactus"]) + "preoccupied 0 3\n")
     runs.insert(3, ("verify-preoccupied", ["verify", "--input", str(path)]))
@@ -294,7 +307,8 @@ def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
         ["cactus", 0, "cactus", []],
         ["verify-preoccupied", 0, "cactus", []],
         ["dismantle", 0, "dismantle", []],
-        ["exact-scalar", 0, "exact", []],
-        # The check above is not vacuous: the vector sweep does load numpy.
-        ["exact", 0, "exact", ["numpy"]],
+        ["exact", 0, "exact", []],
+        # The checks above are not vacuous: the deduction sweep does load
+        # numpy.
+        ["verify-exact", 0, "exact", ["numpy"]],
     ]
