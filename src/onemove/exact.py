@@ -6,36 +6,29 @@ process oracles simulate their own process definitions and share no
 shortcuts beyond the graph representation, and the matching oracle
 searches orderings of matchings without playing any process.
 
-The forcing search plays each size class of start sets bit-sliced in
-pure Python: a part of the class, at most _SWEEP_CHUNK start sets, is one
-int per vertex whose bit i says whether start set i holds it, and a round
-of the forcing rule costs a few int operations per edge on every start
-set at once (_least_forcing_row).  The deduction search streams every
-total as numpy layout count rows to the sweep driver _first_hit, which
-finds the first row in enumeration order whose process protects every
-vertex; its masks are 16-bit, so it takes at most 16 vertices.  The
-sliding search plays every placement set with its own scalar bitset
+The forcing and deduction searches are bit-sliced in pure Python: a
+part of a sweep, at most _SWEEP_CHUNK candidates, is a few ints per
+vertex whose bit i describes candidate i, and a round of the process
+costs a few int operations per edge on every candidate at once.  The
+forcing search plays each size class of start sets this way
+(_least_forcing_row), and the deduction search every total's searcher
+layouts, one int per vertex and searcher count (_least_protecting_row).
+The sliding search plays every placement set with its own scalar bitset
 step, _slides_clear, and replays only the winner through the engines.
 Each oracle plays its own process.
 
-No oracle keeps a result between calls.  Three tables outlive a call:
-_fire_need, the 16-bit popcount the deduction sweep reads;
-_LAYOUT_TABLES, its read-only layout tables of at most _LAYOUT_CHUNK
-rows each; and czf_value_table's _TABLE_CACHE of one value table per
-n <= 7.  Each is filled on first use and depends only on its arguments,
-never on a graph searched before.  The forcing search's membership
-bitsets (_member_bits) are kept for one czf_exact component only.
-
-numpy is imported inside the functions that use it, so only d_exact's
-sweep and czf_value_table load it; czf_exact, cfms_exact, mu_exact and
-every solver outside this module run without it.
+No oracle keeps a result between calls.  One table outlives a call:
+_LAYOUT_PLANES, the deduction sweep's read-only layout planes of at most
+_SWEEP_CHUNK layouts each, filled on first use and depending only on
+their size, never on a graph searched before.  The forcing search's
+membership bitsets (_member_bits) are kept for one czf_exact component
+only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .deduction import Layout, run_deduction
@@ -47,11 +40,12 @@ from .graphs import Graph, adjacency_masks, connected_components, edge_key, indu
 # at the other p from 0.1 to 0.95 took at most 0.17 s, and the star, the
 # path and K(12, 12) at most 0.11 s.
 CZF_EXACT_CEILING = 24
-# The deduction search's worst case at a given n is a star: every total
-# from ceil(n/2) to n - 2 is swept in full.  It took 0.47-0.67 s at
-# n = 13 and 2.0-2.2 s at n = 14; G(13, p), p = 0.3..0.95, took at most
-# 0.10 s.
-D_EXACT_CEILING = 13
+# The deduction search's slowest 14-vertex inputs measured are the star
+# with its center last (every total from 7 to 12 is swept in full), at
+# 0.17-0.28 s, and G(14, p) with p = 0.85..0.95, at most 0.30 s over
+# seeds 1-6.  At n = 15 the same star took 0.71-1.2 s and G(15, 0.95)
+# up to 1.6 s.
+D_EXACT_CEILING = 14
 # The same star, center last, is the sliding search's slowest input
 # measured: 0.02-0.04 s at n = 13, 0.05-0.09 s at 14, 0.09-0.16 s at 15
 # and 0.23-0.39 s at 16.  G(15, p), p = 0.1..0.95, took at most 0.13 s,
@@ -59,64 +53,23 @@ D_EXACT_CEILING = 13
 CFMS_EXACT_CEILING = 15
 MU_EXACT_CEILING = 16
 
-# Most start sets per forcing-sweep part, and layout rows in the first
-# deduction-sweep chunk: each sweep stops after the first part or chunk
-# with a hit.  On noncactus-route's exact-route inputs, 2^13 start sets
-# per part swept 17% faster than 2^15 (an early hit ends a smaller
-# part), and the n = 24 inputs named above about 20% slower.
+# Most start sets or layouts per part of the forcing and deduction
+# sweeps: each sweep stops after the first part with a hit.  On
+# noncactus-route's exact-route inputs, 2^13 start sets per part swept
+# 17% faster than 2^15 (an early hit ends a smaller part), and the
+# n = 24 inputs named above about 20% slower.  On the 240 seed-1/2
+# oracle-identity graphs, the deduction sweep ran as fast with parts of
+# 2^11 layouts and about 1.5x slower with 2^9.
 _SWEEP_CHUNK = 1 << 13
-_LAYOUT_CHUNK = 1 << 9
 
 
-def _check_ceiling(
-    oracle: str, n: int, ceiling: int, force: bool, *, limit: int | None = None, part: str = "graph"
-) -> None:
+def _check_ceiling(oracle: str, n: int, ceiling: int, force: bool, *, part: str = "graph") -> None:
     """Refuse an n-vertex input (or component, as part says) past the
-    oracle's ceiling unless force is given, and past limit, the most
-    vertices the oracle's masks hold, even then."""
-    if limit is not None and n > limit:
-        raise ValueError(f"{oracle} refused for a {n}-vertex {part} > {limit}, the most its masks hold")
+    oracle's ceiling unless force is given."""
     if n > ceiling and not force:
         raise ValueError(
             f"{oracle} refused for a {n}-vertex {part} > {ceiling}; pass force=True (--force) to insist"
         )
-
-
-def _first_hit(chunks, full, play_round):
-    """The first candidate whose process reaches every vertex.
-
-    chunks yields (start, state) pairs in enumeration order: start holds
-    one row per candidate along axis 0, and state is the matching array
-    of reached-vertex masks.  play_round(start, state) plays one round of
-    the process on every row, updating state in place.  A row leaves once
-    a round leaves it unchanged (its closure is reached) or full, and once
-    a hit is known every later row leaves too, so the chunk ends with its
-    least hit and the sweep stops at the first chunk that holds one.
-    Returns the start row of that least hit, or None when no candidate
-    succeeds.
-    """
-    import numpy as np
-
-    for start, state in chunks:
-        index = np.arange(len(state))
-        best = found = None
-        while index.size:
-            before = state.copy()
-            play_round(start, state)
-            done = state == full
-            if done.any():
-                # Every live row precedes the best hit so far, so a new
-                # hit is always the new least one.
-                at = int(np.argmax(done))
-                best, found = index[at], start[at]
-            keep = (state != before) & ~done
-            if best is not None:
-                keep &= index < best
-            if not keep.all():
-                start, state, index = start[keep], state[keep], index[keep]
-        if found is not None:
-            return found
-    return None
 
 
 @dataclass(frozen=True)
@@ -300,191 +253,137 @@ def czf_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     return ParameterResult(total, sorted(witness), "exact")
 
 
-_TABLE_CACHE: dict[int, np.ndarray] = {}
-
-
-def pair_bit_index(n: int) -> dict[tuple[int, int], int]:
-    """Bit position of each vertex pair in the edge-mask encoding."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return {pair: idx for idx, pair in enumerate(pairs)}
-
-
-def czf_value_table(n: int) -> np.ndarray:
-    """Forcing number of every labeled graph on n vertices, n <= 7.
-
-    Entry g of the returned array is the value for the graph whose edge
-    set is the bit pattern of g under pair_bit_index(n).
-    """
-    if not 1 <= n <= 7:
-        raise ValueError("value table supported for 1 <= n <= 7 only")
-    if n in _TABLE_CACHE:
-        return _TABLE_CACHE[n]
-    import numpy as np
-
-    bits = pair_bit_index(n)
-    count = 1 << len(bits)
-    masks = np.arange(count, dtype=np.uint32)
-    nbr = [np.zeros(count, dtype=np.uint8) for _ in range(n)]
-    for (i, j), b in bits.items():
-        present = ((masks >> np.uint32(b)) & 1).astype(np.uint8)
-        nbr[i] |= present << np.uint8(j)
-        nbr[j] |= present << np.uint8(i)
-    full, one, zero = np.uint8((1 << n) - 1), np.uint8(1), np.uint8(0)
-    values = np.zeros(count, dtype=np.uint8)
-    pending = np.arange(count)
-    # A forcing set of size k colors at most 2k vertices, so no graph has
-    # a value below ceil(n/2).  Each start set is played on the graphs it
-    # may still solve, and a graph leaves the round loop at its closure.
-    for k in range((n + 1) // 2, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            start = sum(1 << v for v in combo)
-            rows = pending
-            nb = [nbr[v][rows] for v in range(n) if start >> v & 1]
-            colored = np.full(rows.size, start, dtype=np.uint8)
-            while rows.size:
-                before = colored.copy()
-                for arr in nb:
-                    unc = arr & ~colored
-                    colored |= unc * ((unc & (unc - one)) == zero)
-                done = colored == full
-                values[rows[done]] = k
-                keep = (colored != before) & ~done
-                if not keep.all():
-                    rows, colored = rows[keep], colored[keep]
-                    nb = [arr[keep] for arr in nb]
-            pending = pending[values[pending] == 0]
-        if not pending.size:
-            break
-    _TABLE_CACHE[n] = values
-    return values
-
-
 # ---------------------------------------------------------------------------
 # Deduction number.
 # ---------------------------------------------------------------------------
 
 
-_LAYOUT_TABLES: dict[tuple[int, int], np.ndarray] = {}
+_LAYOUT_PLANES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
-def _layout_table(m: int, t: int) -> np.ndarray:
-    """S(m, t): every t-searcher layout on m vertices as uint8 count rows,
-    in combinations_with_replacement order, read-only and kept in
-    _LAYOUT_TABLES across calls."""
-    import numpy as np
+def _layout_planes(m: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """T(m, t): the t-searcher layouts on range(m) in
+    combinations_with_replacement order, as one tuple per position p whose
+    entry k-1 has bit i set when layout i holds at least k searchers on p.
 
-    rows = _LAYOUT_TABLES.get((m, t))
-    if rows is None:
-        if m == 1 or t == 0:
-            rows = np.zeros((1, m), dtype=np.uint8)
-            rows[0, 0] = t
+    T(m, t) is e_0 added to each of T(m, t-1), followed by T(m-1, t)
+    moved one position up, so entry 0 of position 0 is all ones over the
+    first C(m+t-2, t-1) layouts.  The tables T(m, t) needs are built
+    bottom up, smallest m first, and kept in _LAYOUT_PLANES for every
+    later call: a table depends on (m, t) alone, and the sweep asks only
+    for tables of at most _SWEEP_CHUNK layouts.
+    """
+    if (m, t) not in _LAYOUT_PLANES:
+        for mm in range(1, m + 1):
+            for tt in range(t + 1):
+                if (mm, tt) in _LAYOUT_PLANES:
+                    continue
+                if tt == 0 or mm == 1:
+                    # A single layout: no searcher, or all on vertex 0.
+                    planes = ((1,) * tt,) + ((),) * (mm - 1)
+                else:
+                    first, rest = _LAYOUT_PLANES[mm, tt - 1], _LAYOUT_PLANES[mm - 1, tt]
+                    shift = comb(mm + tt - 2, tt - 1)
+                    planes = (((1 << shift) - 1,) + first[0],) + tuple(
+                        tuple(a | b << shift for a, b in itertools.zip_longest(p, q, fillvalue=0))
+                        for p, q in zip(first[1:], rest)
+                    )
+                _LAYOUT_PLANES[mm, tt] = planes
+    return _LAYOUT_PLANES[m, t]
+
+
+def _layout_parts(n: int, total: int, size: int):
+    """Every total-searcher layout on range(n) in
+    combinations_with_replacement order, as (prefix, j, r) parts of at
+    most size layouts: the count tuple prefix plus each r-searcher layout
+    on {j, ..., n-1}.  Layouts with a searcher on j come first, so a part
+    splits into prefix + e_j with r-1 searchers left, then j+1 with r.  A
+    stack, not recursion, holds the splits."""
+    todo = [((0,) * n, 0, total)]
+    while todo:
+        prefix, j, r = todo.pop()
+        if comb(n - j + r - 1, r) <= size:
+            yield prefix, j, r
         else:
-            first = _layout_table(m, t - 1)
-            rest = _layout_table(m - 1, t)
-            rows = np.zeros((len(first) + len(rest), m), dtype=np.uint8)
-            rows[: len(first)] = first
-            rows[: len(first), 0] += 1
-            rows[len(first) :, 1:] = rest
-        rows.flags.writeable = False
-        _LAYOUT_TABLES[(m, t)] = rows
-    return rows
+            todo.append((prefix, j + 1, r))
+            todo.append((prefix[:j] + (prefix[j] + 1,) + prefix[j + 1 :], j, r - 1))
 
 
-def _layout_parts(n: int, j: int, t: int, prefix: np.ndarray, size: int):
-    """prefix plus each t-searcher layout on {j, ..., n-1}, in parts of at
-    most size rows (see _layout_chunks)."""
-    import numpy as np
+def _least_protecting_row(adj, ge, unprotected: list[int], live: int) -> int | None:
+    """Index of the first row whose deduction process protects every vertex.
 
-    count = comb(n - j + t - 1, t)
-    if count <= size:
-        rows = np.tile(prefix, (count, 1))
-        rows[:, j:] += _layout_table(n - j, t)
-        yield rows
-    else:
-        grown = prefix.copy()
-        grown[j] += 1
-        yield from _layout_parts(n, j, t - 1, grown, size)
-        yield from _layout_parts(n, j + 1, t, prefix, size)
-
-
-def _layout_chunks(n: int, total: int, size: int):
-    """Every layout of total searchers on n vertices, as uint8 count rows.
-
-    Rows come in itertools.combinations_with_replacement order.  M[j][t],
-    the t-searcher layouts on {j, ..., n-1} in that order, is e_j added to
-    M[j][t-1] followed by M[j+1][t].  The stream splits M[0][total] by
-    that rule until a part has at most size rows; a part is then its
-    prefix row plus the table S(n-j, t), built by the same rule and kept
-    for every later stream, since it depends on nothing else.  Parts are
-    joined into chunks of at least size rows, and the target doubles per
-    chunk up to 16 * size, so an early hit costs a small chunk and a long
-    search sweeps large ones.
+    Rows are bit positions: entry k-1 of ge[v] has bit i set when row i
+    holds at least k searchers on v, bit i of unprotected[v] (updated in
+    place) when v is not protected in row i, and live holds the rows to
+    play.  A round visits v = 0, ..., n-1 and fires v in every live row
+    where 1 <= |N(v) - P| <= c_v, P the protected set, which protects all
+    of N(v).  The count runs as threshold masks, at[k] holding the rows
+    with more than k unprotected neighbors seen; a row whose count passes
+    c_v drops out.  Firing is monotone: if v can fire at P, it can at
+    every P' containing P, unless N(v) is inside P' and firing adds
+    nothing.  So firing in place ends at the same protected set as any
+    other maximal order, the least one closed under firing that contains
+    the support, and a vertex fires once.  A row leaves once a round fires
+    nothing in it or leaves nothing unprotected, and once a hit is known
+    every later row leaves too, so the last hit found is the least one.
     """
-    import numpy as np
-
-    pending: list[np.ndarray] = []
-    count = 0
-    target = size
-    for rows in _layout_parts(n, 0, total, np.zeros(n, dtype=np.uint8), size):
-        pending.append(rows)
-        count += len(rows)
-        if count >= target:
-            yield np.concatenate(pending)
-            pending, count = [], 0
-            target = min(2 * target, 16 * size)
-    if pending:
-        yield np.concatenate(pending)
-
-
-@lru_cache(maxsize=1)
-def _fire_need() -> np.ndarray:
-    """Searchers a vertex needs to fire, indexed by its unprotected
-    neighbors as a 16-bit mask: their number, or 255, more than any
-    count, when there are none and the vertex cannot fire."""
-    import numpy as np
-
-    x = np.arange(1 << 16, dtype=np.uint32)
-    need = np.zeros(1 << 16, dtype=np.uint8)
-    for b in range(16):
-        need += ((x >> b) & 1).astype(np.uint8)
-    need[0] = 255
-    return need
-
-
-def _fire_stage(nb: np.ndarray, counts: np.ndarray, protected: np.ndarray) -> None:
-    """One all-fireable stage on every row: each v with
-    1 <= |N(v) - P| <= c_v fires at once, and P gains every N(v) - P.
-
-    nb holds the n neighbor masks, counts one layout per row and
-    protected each row's P, updated in place.  Firing is monotone: if v
-    can fire at P, it can at every P' containing P (|N(v) - P'| is no
-    larger), unless N(v) is inside P' already and firing adds nothing.
-    So every maximal firing order, one vertex or one stage at a time,
-    ends at the same protected set, the least one closed under firing
-    that contains the support.  A vertex that has fired has no
-    unprotected neighbor left, so it fires once.
-    """
-    import numpy as np
-
-    unc = nb & ~protected[:, None]
-    unc *= _fire_need().take(unc) <= counts
-    protected |= np.bitwise_or.reduce(unc, axis=1)
+    best = None
+    while live:
+        fired = 0
+        for v, nbrs in enumerate(adj):
+            held = ge[v]
+            cand = held[0] & live if held else 0
+            if not cand:
+                continue
+            at = [0] * len(held)
+            for w in nbrs:
+                carry = unprotected[w] & cand
+                k = 0
+                while carry:
+                    if k == len(held):
+                        cand ^= carry
+                        break
+                    # Rows reaching k + 1 unprotected neighbors need as
+                    # many searchers on v.
+                    cand ^= carry & ~held[k]
+                    carry, at[k] = carry & at[k], at[k] | carry
+                    k += 1
+                if not cand:
+                    break
+            fire = cand & at[0]
+            if fire:
+                fired |= fire
+                keep = ~fire
+                for w in nbrs:
+                    unprotected[w] &= keep
+        left = 0
+        for u in unprotected:
+            left |= u
+        done = live & ~left
+        if done:
+            # Every live row precedes the best hit so far, so a new hit
+            # is always the new least one.
+            best = (done & -done).bit_length() - 1
+            fired &= (1 << best) - 1
+        live = fired
+    return best
 
 
-def _first_layout(nbrs: list[int], n: int, total: int) -> np.ndarray | None:
-    """Count row of the first total-searcher layout that protects everything.
-
-    Each round is one _fire_stage on every live row.  Masks are 16-bit,
-    so n <= 16.
-    """
-    import numpy as np
-
-    nb = np.array(nbrs, dtype=np.uint16)
-    bits = (1 << np.arange(n)).astype(np.uint16)
-    # The support of each layout is protected from the start.
-    chunks = ((counts, (counts != 0) @ bits) for counts in _layout_chunks(n, total, _LAYOUT_CHUNK))
-    full = np.uint16((1 << n) - 1)
-    return _first_hit(chunks, full, lambda counts, protected: _fire_stage(nb, counts, protected))
+def _first_layout(adj, total: int) -> list[int] | None:
+    """Count row of the first total-searcher layout in
+    combinations_with_replacement order that protects every vertex, played
+    one _layout_parts part at a time: ge[v] is prefix[v] all-ones planes
+    followed, for v >= j, by v's planes in _layout_planes(n - j, r)."""
+    n = len(adj)
+    for prefix, j, r in _layout_parts(n, total, _SWEEP_CHUNK):
+        ones = (1 << comb(n - j + r - 1, r)) - 1
+        planes = _layout_planes(n - j, r)
+        ge = [(ones,) * c + (planes[v - j] if v >= j else ()) for v, c in enumerate(prefix)]
+        unprotected = [ones & ~held[0] if held else ones for held in ge]
+        row = _least_protecting_row(adj, ge, unprotected, ones)
+        if row is not None:
+            return [sum(plane >> row & 1 for plane in held) for held in ge]
+    return None
 
 
 def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:
@@ -498,22 +397,20 @@ def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     |support| + t <= 2t vertices.  If the first vertex v to fire holds c
     searchers, then c >= |N(v) - P|, so the total is at least
     c + |N(v) & P| >= deg v; with no firing every vertex holds a searcher.
-    Each total goes to _first_layout, which sweeps its layouts as numpy
-    count rows through the sweep driver _first_hit; the first success in
-    combinations_with_replacement order wins, and it is replayed once
-    through run_deduction.  Refuses graphs above D_EXACT_CEILING unless
-    force is given, and graphs over 16 vertices, whose vertex sets do not
-    fit the sweep's 16-bit masks, even then.
+    Each total goes to _first_layout, which sweeps its layouts bit-sliced;
+    the first success in combinations_with_replacement order wins, and it
+    is replayed once through run_deduction.  Refuses graphs above
+    D_EXACT_CEILING unless force is given.
     """
-    _check_ceiling("d_exact", g.n, D_EXACT_CEILING, force, limit=16)
+    _check_ceiling("d_exact", g.n, D_EXACT_CEILING, force)
     if g.n == 0:
         return ParameterResult(0, Layout({}), "exact")
-    nbrs = adjacency_masks(g)
-    lower = max(1, (g.n + 1) // 2, min(x.bit_count() for x in nbrs))
+    adj = g.adjacency()
+    lower = max(1, (g.n + 1) // 2, min(map(len, adj)))
     for total in range(lower, g.n + 1):
-        row = _first_layout(nbrs, g.n, total)
+        row = _first_layout(adj, total)
         if row is not None:
-            layout = Layout({v: int(c) for v, c in enumerate(row) if c})
+            layout = Layout({v: c for v, c in enumerate(row) if c})
             if len(run_deduction(g, layout).protected) != g.n:
                 raise RuntimeError(
                     f"deduction sweep and run_deduction disagree on {layout.counts}; this is a bug"

@@ -34,10 +34,8 @@ from onemove.exact import (
     alpha_exact,
     cfms_exact,
     czf_exact,
-    czf_value_table,
     d_exact,
     mu_exact,
-    pair_bit_index,
     validate_uniqueness_witness,
 )
 from onemove.families import (
@@ -56,6 +54,7 @@ from onemove.graphs import (
     induced_subgraph,
     subdivide_all,
 )
+from value_table import czf_value_table, pair_bit_index
 
 log = logging.getLogger(__name__)
 

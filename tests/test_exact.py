@@ -24,10 +24,8 @@ from onemove.exact import (
     alpha_exact,
     cfms_exact,
     czf_exact,
-    czf_value_table,
     d_exact,
     mu_exact,
-    pair_bit_index,
     validate_uniqueness_witness,
     vertex_cover_decide,
 )
@@ -40,6 +38,7 @@ from onemove.graphs import (
     induced_subgraph,
     parse_edge_list,
 )
+from value_table import czf_value_table, pair_bit_index
 
 WORKED = """7 11
 0 1
@@ -268,21 +267,28 @@ class TestCeilings:
         def no_search(*args, **kwargs):
             raise AssertionError("the search started before the refusal")
 
-        for name in ("adjacency_masks", "complete_with_slides", "_layout_chunks"):
-            monkeypatch.setattr(exact, name, no_search)
-        g = generate(FamilySpec("complete", exact.D_EXACT_CEILING + 1))
-        with pytest.raises(ValueError, match="refused"):
-            d_exact(g)
-        g = generate(FamilySpec("complete", exact.CFMS_EXACT_CEILING + 1))
-        with pytest.raises(ValueError, match="refused"):
-            cfms_exact(g)
-        with pytest.raises(ValueError, match="refused"):
-            cfms_exact(g, frozenset({0}))
-        # The deduction sweep's masks are 16-bit, so force does not lift
-        # that limit.
-        g = generate(FamilySpec("path", 17))
-        with pytest.raises(ValueError, match="d_exact refused"):
-            d_exact(g, force=True)
+        entry_points = (
+            "adjacency_masks", "complete_with_slides", "_first_layout", "_layout_parts", "_layout_planes",
+        )
+        with monkeypatch.context() as patch:
+            for name in entry_points:
+                patch.setattr(exact, name, no_search)
+            g = generate(FamilySpec("complete", exact.D_EXACT_CEILING + 1))
+            with pytest.raises(ValueError, match="refused"):
+                d_exact(g)
+            g = generate(FamilySpec("complete", exact.CFMS_EXACT_CEILING + 1))
+            with pytest.raises(ValueError, match="refused"):
+                cfms_exact(g)
+            with pytest.raises(ValueError, match="refused"):
+                cfms_exact(g, frozenset({0}))
+            g = generate(FamilySpec("path", 17))
+            with pytest.raises(ValueError, match="d_exact refused"):
+                d_exact(g)
+        # The deduction sweep's rows are Python ints, so no mask width caps
+        # a forced search.
+        res = d_exact(g, force=True)
+        assert res.value == 9
+        assert len(run_deduction(g, res.witness).protected) == g.n
 
     def test_d_and_cfms_forced_past_ceiling(self):
         # The minimum-degree floor starts K_n's searches at n - 1.
@@ -292,9 +298,9 @@ class TestCeilings:
 
     @pytest.mark.parametrize("oracle", ["d_exact", "cfms_exact"])
     def test_budget_at_ceiling(self, oracle):
-        # A star with its center last is the slowest deduction search
-        # measured at n = 13: every total from 7 to 11 is swept in full,
-        # and the first hit of total 12 is far into the enumeration.
+        # A star with its center last is among the slowest deduction
+        # searches measured at n = 14: every total from 7 to 12 is swept in
+        # full, and the first hit of total 13 is far into the enumeration.
         n = {"d_exact": exact.D_EXACT_CEILING, "cfms_exact": exact.CFMS_EXACT_CEILING}[oracle]
         g = Graph(n, frozenset((v, n - 1) for v in range(n - 1)))
         start = time.perf_counter()
@@ -361,6 +367,7 @@ class TestVectorPath:
 
 
     def test_layout_rows_in_combinations_with_replacement_order(self):
+        tables = {}
         for n in range(1, 11):
             for t in range(9):
                 expected = []
@@ -369,25 +376,34 @@ class TestVectorPath:
                     for v in spots:
                         row[v] += 1
                     expected.append(row)
-                for size in (1, 7, exact._LAYOUT_CHUNK):
-                    chunks = list(exact._layout_chunks(n, t, size))
-                    assert all(c.dtype == np.uint8 for c in chunks)
-                    assert [r for c in chunks for r in c.tolist()] == expected, (n, t, size)
+                for size in (1, 7, exact._SWEEP_CHUNK):
+                    rows = []
+                    for prefix, j, r in exact._layout_parts(n, t, size):
+                        count = comb(n - j + r - 1, r)
+                        assert 1 <= count <= size
+                        assert sum(prefix) == t - r and not any(prefix[j + 1 :])
+                        if (n - j, r) not in tables:
+                            tables[n - j, r] = layout_rows(exact._layout_planes(n - j, r), count)
+                        rows += [[a + b for a, b in zip(prefix, [0] * j + row)] for row in tables[n - j, r]]
+                    assert rows == expected, (n, t, size)
 
     def test_layout_tables_stay_small_and_read_only(self):
         for n in range(1, 11):
             d_exact(random_graph(random.Random(n), n, 0.4))
-        assert exact._LAYOUT_TABLES
-        for (m, t), rows in exact._LAYOUT_TABLES.items():
-            assert rows.shape == (comb(m + t - 1, t), m), (m, t)
-            assert len(rows) <= exact._LAYOUT_CHUNK, (m, t)
-            assert not rows.flags.writeable, (m, t)
+        assert exact._LAYOUT_PLANES
+        for (m, t), planes in exact._LAYOUT_PLANES.items():
+            count = comb(m + t - 1, t)
+            assert count <= exact._SWEEP_CHUNK, (m, t)
+            assert type(planes) is tuple and len(planes) == m, (m, t)
+            for plane in planes:
+                assert type(plane) is tuple and len(plane) == t, (m, t)
+                assert all(0 < bits < 1 << count for bits in plane), (m, t)
 
     def test_d_exact_forgets_its_call_history(self, monkeypatch):
         # Tables shared across calls must not carry one graph's search
         # into the next: the same graphs, run forwards from empty tables
         # and then backwards over the tables the first run left, agree.
-        monkeypatch.setattr(exact, "_LAYOUT_TABLES", {})
+        monkeypatch.setattr(exact, "_LAYOUT_PLANES", {})
         rng = random.Random(12)
         graphs = [random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.45, 0.7])) for _ in range(40)]
         forwards = [d_exact(g) for g in graphs]
@@ -399,12 +415,11 @@ class TestVectorPath:
         # only in a second round (1 fires, then 0), while the later {0, 2}
         # does in the first.  The sweep must still return {0, 1}.
         g = Graph(4, frozenset({(0, 2), (0, 3), (1, 2)}))
-        nbrs = adjacency_masks(g)
-        for chunk in (1, 2, 3, 1 << 9):
-            monkeypatch.setattr(exact, "_LAYOUT_CHUNK", chunk)
-            assert exact._first_layout(nbrs, 4, 2).tolist() == [1, 1, 0, 0]
+        for chunk in (1, 2, 3, exact._SWEEP_CHUNK):
+            monkeypatch.setattr(exact, "_SWEEP_CHUNK", chunk)
+            assert exact._first_layout(g.adjacency(), 2) == [1, 1, 0, 0]
             assert d_exact(g).witness == Layout({0: 1, 1: 1})
-        assert exact._first_layout(nbrs, 4, 1) is None
+            assert exact._first_layout(g.adjacency(), 1) is None
 
 
 class TestValueTable:
@@ -515,6 +530,25 @@ def reference_cfms(g, pre=frozenset()):
     raise AssertionError("placing searchers everywhere always clears the graph")
 
 
+def part_planes(n, prefix, j, r):
+    """Count planes of one _layout_parts part: entry k-1 of vertex v's
+    tuple has bit i set when row i holds at least k searchers on v."""
+    ones = (1 << comb(n - j + r - 1, r)) - 1
+    planes = exact._layout_planes(n - j, r)
+    return [(ones,) * c + (planes[v - j] if v >= j else ()) for v, c in enumerate(prefix)]
+
+
+def layout_rows(ge, count):
+    """The count rows that planes ge encode, one list per row."""
+
+    def row_bits(bits):
+        raw = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little")[:count].astype(np.int64)
+
+    counts = [sum((row_bits(bits) for bits in need), np.zeros(count, np.int64)) for need in ge]
+    return np.array(counts, dtype=np.int64).reshape(len(ge), count).T.tolist()
+
+
 def reference_combo_masks(n, k):
     """Every k-subset mask, one Python sum per combination."""
     gen = (sum(1 << v for v in combo) for combo in itertools.combinations(range(n), k))
@@ -615,21 +649,21 @@ class TestAgainstReferences:
     @settings(max_examples=100, deadline=None)
     @given(g=forcing_graphs(st.integers(1, 6)))
     def test_stage_round_plays_the_game(self, g):
-        # On every layout of every total, not only the first hit: stage
-        # rounds to a fixpoint protect what run_deduction protects.
-        nb = np.array(adjacency_masks(g), dtype=np.uint16)
-        bits = (1 << np.arange(g.n)).astype(np.uint16)
+        # On every layout of every total, not only the first hit: rounds
+        # played on one row at a time, to a fixpoint, protect what
+        # run_deduction protects, and the row is a hit exactly when that
+        # is every vertex.
+        adj = g.adjacency()
         for total in range(1, g.n + 1):
-            counts = np.concatenate(list(exact._layout_chunks(g.n, total, exact._LAYOUT_CHUNK)))
-            protected = (counts != 0) @ bits
-            while True:
-                before = protected.copy()
-                exact._fire_stage(nb, counts, protected)
-                if (protected == before).all():
-                    break
-            for row, mask in zip(counts.tolist(), protected.tolist()):
-                state = run_deduction(g, Layout({v: c for v, c in enumerate(row) if c}))
-                assert mask == sum(1 << v for v in state.protected), row
+            for prefix, j, r in exact._layout_parts(g.n, total, exact._SWEEP_CHUNK):
+                count = comb(g.n - j + r - 1, r)
+                ge = part_planes(g.n, prefix, j, r)
+                for i, row in enumerate(layout_rows(ge, count)):
+                    unprotected = [(1 << count) - 1 & ~need[0] if need else (1 << count) - 1 for need in ge]
+                    hit = exact._least_protecting_row(adj, ge, unprotected, 1 << i)
+                    state = run_deduction(g, Layout({v: c for v, c in enumerate(row) if c}))
+                    assert {v for v, u in enumerate(unprotected) if not u >> i & 1} == state.protected, row
+                    assert (hit == i) == (len(state.protected) == g.n), row
 
 
 class TestForcingSearch:
@@ -687,13 +721,11 @@ class TestEdgeEdits:
 class TestDeductionSearch:
     # Small graphs reach the smallest totals, down to a single layout;
     # reference_d plays every layout in Python, so n stops at 7.
-    @pytest.mark.parametrize(
-        "chunk", [exact._LAYOUT_CHUNK, 8], ids=["all-numpy", "all-numpy-small-chunks"]
-    )
+    @pytest.mark.parametrize("chunk", [exact._SWEEP_CHUNK, 8], ids=["default", "parts-of-8"])
     @settings(max_examples=100, deadline=None)
     @given(g=forcing_graphs(st.integers(1, 7)))
     def test_matches_game_per_layout(self, chunk, g):
-        with mock.patch.object(exact, "_LAYOUT_CHUNK", chunk):
+        with mock.patch.object(exact, "_SWEEP_CHUNK", chunk):
             assert d_exact(g) == reference_d(g)
 
 
@@ -720,7 +752,7 @@ class TestMinDegreeFloor:
         completions = count_calls(complete_with_slides)
         assert czf_exact(g).value == d_exact(g).value == cfms_exact(g).value == 5
         assert min(args[1] for args in classes) == 5
-        assert min(args[2] for args in sweeps) == 5
+        assert min(args[1] for args in sweeps) == 5
         assert min(args[2].bit_count() for args in slides) == 5
         assert min(len(args[1]) for args in completions) == 5
 

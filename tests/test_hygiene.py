@@ -182,13 +182,17 @@ def _names_reached(oracle):
     return names
 
 
+# The deduction search's own helpers, which no other oracle may reach.
+_DEDUCTION = {"d_exact", "_first_layout", "_layout_parts", "_layout_planes", "_least_protecting_row"}
+
+
 def test_sliding_oracle_stays_off_the_other_oracles_paths():
     # cfms_exact, and every exact.py function it reaches, names neither
     # the deduction search's code nor numpy, so the oracles stay
     # independent and the sliding search loads nothing at run time.
     names = _names_reached("cfms_exact")
     assert "_slides_clear" in names
-    banned = {"d_exact", "_first_hit", "_first_layout", "numpy", "np"}
+    banned = _DEDUCTION | {"numpy", "np"}
     assert {name: owner for name, owner in names.items() if name in banned} == {}
 
 
@@ -196,7 +200,19 @@ def test_forcing_oracle_stays_off_the_other_oracles_paths():
     # The same for czf_exact: its sweep is its own and pure Python.
     names = _names_reached("czf_exact")
     assert "_least_forcing_row" in names
-    banned = {"d_exact", "_first_hit", "_first_layout", "_slides_clear", "numpy", "np"}
+    banned = _DEDUCTION | {"_slides_clear", "numpy", "np"}
+    assert {name: owner for name, owner in names.items() if name in banned} == {}
+
+
+def test_deduction_oracle_stays_off_the_other_oracles_paths():
+    # And for d_exact: its sweep shares no helper with the forcing
+    # search, although both are bit-sliced.
+    names = _names_reached("d_exact")
+    assert "_least_protecting_row" in names
+    banned = {
+        "_least_forcing_row", "_member_bits", "_mask_chunks", "_first_full",
+        "_slides_clear", "czf_exact", "cfms_exact", "numpy", "np",
+    }
     assert {name: owner for name, owner in names.items() if name in banned} == {}
 
 
@@ -263,16 +279,16 @@ seen = [("import", None, None, [m for m in HEAVY if m in sys.modules])]
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(argv)
-    method = json.loads(out.getvalue())["method"] if code == 0 else None
+    method = json.loads(out.getvalue()).get("method") if code == 0 else None
     seen.append((name, code, method, [m for m in HEAVY if m in sys.modules]))
 print(json.dumps(seen))
 """
 
 
 def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
-    # numpy serves only d_exact's sweep and czf_value_table, and the
-    # process pool only probe --jobs.  verify on a preoccupied cactus runs
-    # the cactus solver and the sliding oracle, which use neither.
+    # Nothing in the package imports numpy, and only probe --jobs starts a
+    # process pool.  verify on a preoccupied cactus runs the cactus solver
+    # and the sliding oracle, which use neither.
     k4_corona = [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(v, v + 4) for v in range(4)]
     graphs = {
         "tree": generate(FamilySpec("star", 9)),
@@ -293,6 +309,8 @@ def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
     path = tmp_path / "verify-preoccupied.el"
     path.write_text(write_edge_list(graphs["cactus"]) + "preoccupied 0 3\n")
     runs.insert(3, ("verify-preoccupied", ["verify", "--input", str(path)]))
+    path = tmp_path / "cactus.el"
+    runs.append(("probe-jobs", ["probe", "--input", str(path), "--mode", "remove", "--jobs", "2"]))
     pythonpath = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=pythonpath)
     done = subprocess.run(
@@ -308,7 +326,28 @@ def test_polynomial_routes_import_no_numpy_or_pool(tmp_path):
         ["verify-preoccupied", 0, "cactus", []],
         ["dismantle", 0, "dismantle", []],
         ["exact", 0, "exact", []],
-        # The checks above are not vacuous: the deduction sweep does load
-        # numpy.
-        ["verify-exact", 0, "exact", ["numpy"]],
+        ["verify-exact", 0, "exact", []],
+        # The checks above are not vacuous: probe --jobs does load the pool.
+        ["probe-jobs", 0, None, ["concurrent.futures", "multiprocessing"]],
     ]
+
+
+# Run in a fresh interpreter: runs the four exhaustive oracles on one
+# graph and prints their values and whether numpy was loaded.
+_ORACLE_PROBE = """
+import json, sys
+from onemove import exact
+from onemove.graphs import FamilySpec, generate
+g = generate(FamilySpec("wheel", 9))
+values = [oracle(g).value for oracle in (exact.czf_exact, exact.d_exact, exact.cfms_exact, exact.mu_exact)]
+print(json.dumps([values, "numpy" in sys.modules]))
+"""
+
+
+def test_oracles_run_without_numpy():
+    pythonpath = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _ORACLE_PROBE],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120, check=True,
+    )
+    assert json.loads(done.stdout) == [[5, 5, 5, 4], False]
