@@ -10,7 +10,7 @@ vertex; those fall to a case analysis that compares the cost of the
 whole cycle with the cost of the path avoiding the branching vertex.
 Solvers here compute placements only: slides are reconstructed greedily,
 and the finished strategy is left for the caller to replay (solver.solve
-certifies it once).
+certifies it once).  graphs.parse_instance reads the instance format.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .graphs import (
     classify,
     delete_vertices,
     edge_key,
-    parse_edge_list,
+    parse_instance,
     peel_leaves,
     write_edge_list,
 )
@@ -34,7 +34,6 @@ from .graphs import (
 __all__ = [
     "CactusInstance",
     "parse_cactus_instance",
-    "split_preoccupied",
     "write_cactus_instance",
     "cactus_solve",
 ]
@@ -64,40 +63,10 @@ class CactusInstance:
         object.__setattr__(self, "cycles", shape.cycles)
 
 
-def split_preoccupied(text: str) -> tuple[str, frozenset[int] | None]:
-    """The edge-list part of text, and the vertices of its one optional
-    line "preoccupied v1 v2 ..." (None when there is no such line), each
-    listed once.
-
-    Only lines that contain the word are split into tokens, so text
-    without it is returned as it is, unscanned.
-    """
-    if "preoccupied" not in text:
-        return text, None
-    kept: list[str] = []
-    pre: frozenset[int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split() if "preoccupied" in raw else ()
-        if parts and parts[0] == "preoccupied":
-            if pre is not None:
-                raise ValueError(f"line {lineno}: second preoccupied line")
-            try:
-                listed = [int(p) for p in parts[1:]]
-            except ValueError:
-                raise ValueError(f"line {lineno}: expected integers after 'preoccupied'") from None
-            pre = frozenset(listed)
-            if len(pre) < len(listed):
-                v = next(v for i, v in enumerate(listed) if v in listed[:i])
-                raise ValueError(f"line {lineno}: repeated preoccupied vertex {v}")
-        else:
-            kept.append(raw)
-    return "\n".join(kept), pre
-
-
 def parse_cactus_instance(text: str) -> CactusInstance:
-    """Parse an edge list followed by an optional line "preoccupied v1 v2 ..."."""
-    body, pre = split_preoccupied(text)
-    return CactusInstance(parse_edge_list(body), pre or frozenset())
+    """Parse the instance format; no preoccupied line, no occupied vertex."""
+    g, pre = parse_instance(text)
+    return CactusInstance(g, pre or frozenset())
 
 
 def write_cactus_instance(inst: CactusInstance) -> str:

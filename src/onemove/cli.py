@@ -5,6 +5,8 @@ and solver.verify (which adds an independent oracle), plus the run time
 in ms.  simulate renders stage traces of the three processes; the
 sliding one steps engines.Clearing.  generate, reduce, and probe produce
 family members, reduction instances, and edge-edit measurements.
+graphs.parse_instance reads every input graph; reduce and probe read
+through graphs.parse_edge_list, which refuses a preoccupied line.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import os
 import sys
 import time
 
-from .cactus import split_preoccupied
 from .constructions import probe_edit, probe_grid, vc_to_czf_reduction, write_reduction
 from .deduction import Layout, run_deduction
 from .engines import Clearing, Strategy, czf_run
 from .families import CliqueConstruction
-from .graphs import FAMILY_KINDS, FamilySpec, Graph, generate, parse_edge_list, write_edge_list
+from .graphs import FAMILY_KINDS, FamilySpec, Graph, generate, write_edge_list
+from .graphs import parse_edge_list, parse_instance
 from .solver import METHODS, Report, solve, verify
 
 log = logging.getLogger(__name__)
@@ -63,13 +65,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _read_instance(path: str) -> tuple[Graph, frozenset[int]]:
-    """An edge list, and the preoccupied vertices when that line appears;
-    solve validates them as a cactus instance, simulate by range."""
-    body, pre = split_preoccupied(_read_text(path))
-    return parse_edge_list(body), pre or frozenset()
-
-
 def _parse_layout_csv(text: str) -> Layout:
     counts: dict[int, int] = {}
     for tok in text.split(","):
@@ -106,7 +101,8 @@ def _cmd_solve(args) -> int:
         raise UsageError("--method clique needs --certificate")
     if args.method != "clique" and args.certificate is not None:
         raise UsageError("--certificate needs --method clique")
-    g, pre = _read_instance(args.input)
+    g, pre = parse_instance(_read_text(args.input))
+    pre = pre or frozenset()
     start = time.perf_counter()
     construction = _read_certificate(args.certificate) if args.method == "clique" else None
     if args.command == "verify":
@@ -177,9 +173,9 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"--model {args.model} needs --{wanted}")
     if getattr(args, other) is not None:
         raise UsageError(f"--model {args.model} takes no --{other}")
-    g, pre = _read_instance(args.input)
+    g, pre = parse_instance(_read_text(args.input))
     if args.model == "cfms":
-        _simulate_cfms(g, Strategy.from_text(args.strategy), pre)
+        _simulate_cfms(g, Strategy.from_text(args.strategy), pre or frozenset())
         return 0
     if pre:
         raise ValueError(f"--model {args.model} takes no preoccupied line")

@@ -21,7 +21,6 @@ from .graphs import (
     Graph,
     alternating_places,
     classify,
-    connected_components,
     edge_key,
     edit_edge,
     generate,
@@ -87,9 +86,10 @@ def vc_to_czf_reduction(g: Graph, l: int) -> ReductionInstance:
     cross edges per original edge gains a clique gadget of two extra
     vertices.  The budget works out to 4m + n + l.
     """
-    if any(g.degree(v) != 3 for v in range(g.n)):
+    shape = classify(g)
+    if not shape.is_cubic:
         raise ValueError("reduction requires a cubic input graph")
-    if len(connected_components(g)) != 1:
+    if not shape.is_connected:
         raise ValueError("reduction requires a connected input graph")
     if l < 1:
         raise ValueError("cover budget l must be at least 1")
@@ -214,11 +214,12 @@ def subdivision_value(g: Graph) -> ParameterResult:
     otherwise swaps the middles along one cycle for the alternating
     cycle pattern.  It is replayed through certify before returning.
     """
-    if len(connected_components(g)) != 1:
+    shape = classify(g)
+    if not shape.is_connected:
         raise ValueError("input graph must be connected")
     gp = subdivide_all(g)
     middle = {e: g.n + i for i, e in enumerate(g.sorted_edges())}
-    if g.m == g.n - 1:
+    if shape.is_tree:
         value = g.m + 1
         if g.m == 0:
             witness = [0]

@@ -23,7 +23,7 @@ from .cactus import CactusInstance, cactus_solve
 from .deduction import Layout
 from .engines import Strategy, certify
 from .exact import ParameterResult
-from .graphs import Edge, Graph, connected_components, delete_vertices, edge_key, peel_leaves
+from .graphs import Edge, Graph, classify, delete_vertices, edge_key, peel_leaves
 
 __all__ = [
     "DismantlingOrdering",
@@ -102,7 +102,8 @@ def tree_solve(t: Graph) -> ParameterResult:
     sliding each degree-1 end across its edge in deletion order, clears
     the forest with n - k searchers.
     """
-    if t.m != t.n - len(connected_components(t)):
+    shape = classify(t)
+    if not shape.is_cactus or shape.cycles:
         raise ValueError("input graph is not a forest")
     pairs, _ = _peel(t)
     return ParameterResult(value=t.n - len(pairs), witness=_pairs_strategy(t, pairs), method="tree")
@@ -120,7 +121,7 @@ def unicyclic_solve(g: Graph) -> ParameterResult:
     solver decides it: pendant trees fall to the leaf rules and the bare
     cycle, if it survives them, takes ceil(|C|/2) searchers.
     """
-    if len(connected_components(g)) != 1 or g.m != g.n:
+    if not classify(g).is_unicyclic:
         raise ValueError("input graph is not connected unicyclic")
     return replace(cactus_solve(CactusInstance(g)), method="unicyclic", trace=())
 

@@ -1,5 +1,5 @@
-"""Graph values, edge-list serialization, family generators, structural
-edits, and the leaf peel.
+"""Graph values, the instance format and its one reader (parse_instance),
+family generators, structural edits, and the leaf peel.
 
 Vertices are dense integers 0..n-1 so exhaustive routines can use bitsets.
 Graphs are immutable; every edit returns a new value.  The leaf peel
@@ -112,17 +112,24 @@ def adjacency_masks(g: Graph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: "n m" header, m edge lines, optional trailing role lines.
+# Serialization: "n m" header, m edge lines, optional trailer lines.
 # ---------------------------------------------------------------------------
 
+# The largest vertex count a header may name.  The structured routes cost
+# about 40 us and 1 KB per vertex (`onemove solve` on a 100,000-vertex
+# cactus: 4.0 s and 108 MB, 2-core x86-64), so 40 s and 1 GB at the limit.
+MAX_VERTICES = 1_000_000
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format.
 
-    Layout: a header line "n m", then m lines "u v", then optionally
-    "role v tag" lines for vertex roles and "edgerole u v tag" lines for
-    edge roles.  Blank lines and lines starting with '#' are ignored.
-    Errors cite 1-based line numbers of the input text.
+def parse_instance(text: str) -> tuple[Graph, frozenset[int] | None]:
+    """Parse the instance format: the graph, and the vertices of its
+    preoccupied line (None when there is none).
+
+    Layout: a header line "n m" (n at most MAX_VERTICES), then m lines
+    "u v", then trailer lines in any order: "role v tag", "edgerole u v
+    tag", and at most one "preoccupied v1 v2 ...", each vertex once.
+    Blank lines and lines starting with '#' are ignored.  Errors cite
+    1-based line numbers of the input text.
     """
     numbered = [
         (i, line)
@@ -145,6 +152,8 @@ def parse_edge_list(text: str) -> Graph:
         raise fail(lineno, f"expected integer header 'n m', got {header!r}") from None
     if n < 0 or m < 0:
         raise fail(lineno, "header counts must be nonnegative")
+    if n > MAX_VERTICES:
+        raise fail(lineno, f"{n} vertices refused: the limit is {MAX_VERTICES}")
     if len(numbered) < 1 + m:
         raise ValueError(f"header promises {m} edges but only {len(numbered) - 1} data lines follow")
 
@@ -168,6 +177,7 @@ def parse_edge_list(text: str) -> Graph:
 
     roles: dict[int, str] = {}
     edge_roles: dict[Edge, str] = {}
+    pre: frozenset[int] | None = None
     for lineno, line in numbered[1 + m :]:
         parts = line.split()
         if parts[0] == "role" and len(parts) == 3:
@@ -185,18 +195,38 @@ def parse_edge_list(text: str) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise fail(lineno, f"expected 'edgerole u v tag', got {line!r}") from None
-            if edge_key(u, v) not in edges:
+            if (min(u, v), max(u, v)) not in edges:
                 raise fail(lineno, f"edge role on missing edge ({u}, {v})")
             if parts[3] not in EDGE_ROLES:
                 raise fail(lineno, f"unknown edge role {parts[3]!r}")
-            edge_roles[edge_key(u, v)] = parts[3]
+            edge_roles[min(u, v), max(u, v)] = parts[3]
+        elif parts[0] == "preoccupied":
+            if pre is not None:
+                raise fail(lineno, "second preoccupied line")
+            try:
+                listed = [int(p) for p in parts[1:]]
+            except ValueError:
+                raise fail(lineno, "expected integers after 'preoccupied'") from None
+            pre = frozenset(listed)
+            if len(pre) < len(listed):
+                v = next(v for i, v in enumerate(listed) if v in listed[:i])
+                raise fail(lineno, f"repeated preoccupied vertex {v}")
+            for v in listed:
+                if not 0 <= v < n:
+                    raise fail(lineno, f"preoccupied vertex {v} out of range")
         else:
             raise fail(lineno, f"unrecognized trailing line {line!r}")
-    if roles and set(roles) != set(range(n)):
-        missing = sorted(set(range(n)) - set(roles))
-        raise ValueError(f"vertex roles present but missing for vertices {missing}")
 
-    return Graph(n, frozenset(edges), roles or None, edge_roles or None)
+    return Graph(n, frozenset(edges), roles or None, edge_roles or None), pre
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse an instance that may not have a preoccupied line."""
+    g, pre = parse_instance(text)
+    if pre is None:
+        return g
+    lineno = [raw.split()[:1] for raw in text.splitlines()].index(["preoccupied"]) + 1
+    raise ValueError(f"line {lineno}: a plain edge list takes no preoccupied line")
 
 
 def write_edge_list(g: Graph) -> str:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from onemove import cli, engines, families, solver
+from onemove import cli, engines, families, graphs, solver
 from onemove.engines import Strategy, cfms_run
 from onemove.exact import CFMS_EXACT_CEILING, D_EXACT_CEILING, czf_exact
 from onemove.graphs import Graph, parse_edge_list
@@ -98,6 +98,12 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--input", path)
         assert (code, out) == (cli.PARSE_EXIT, "")
         assert "line 6: repeated preoccupied vertex 1" in err
+
+    def test_errors_below_preoccupied_line_cite_their_own_line(self, capsys, tmp_path):
+        path = write(tmp_path, "c4.el", C4_PRE + "what is this\n")
+        code, out, err = run(capsys, "solve", "--input", path)
+        assert (code, out) == (cli.PARSE_EXIT, "")
+        assert err == "error: line 7: unrecognized trailing line 'what is this'\n"
 
     def test_trace_goes_to_stderr(self, capsys, tmp_path):
         path = write(tmp_path, "bowtie.el", BOWTIE)
@@ -275,6 +281,36 @@ def test_forcing_search_runs_without_numpy(tmp_path):
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert json.loads(done.stdout) == [[0, False], [0, False]]
+
+
+_CEILING_PROBE = """
+import json, resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from onemove import cli
+tracemalloc.start()
+start = time.perf_counter()
+code = cli.main(["solve", "--input", sys.argv[1]])
+print(json.dumps([code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def test_vertex_ceiling_refuses_at_once(tmp_path):
+    # 100,000,000 isolated vertices would take about 50 GB to solve; the
+    # header is refused before any per-vertex list is built.  The 1 GB
+    # address-space limit keeps a missing ceiling from exhausting memory.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _CEILING_PROBE, write(tmp_path, "huge.el", "100000000 0")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, seconds, peak = json.loads(done.stdout)
+    assert (code, done.stderr) == (
+        cli.PARSE_EXIT,
+        f"error: line 1: 100000000 vertices refused: the limit is {graphs.MAX_VERTICES}\n",
+    )
+    assert seconds < 0.1
+    assert peak < 1 << 20
 
 
 class TestVerify:
@@ -523,6 +559,13 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "--vc-instance", path, "--l", "2")
         assert code == 2
         assert "cubic" in err
+
+
+@pytest.mark.parametrize("argv", [["probe", "--input"], ["reduce", "--l", "1", "--vc-instance"]], ids=["probe", "reduce"])
+def test_graph_only_commands_refuse_preoccupied_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, write(tmp_path, "c4.el", C4_PRE))
+    assert (code, out) == (cli.PARSE_EXIT, "")
+    assert err == "error: line 6: a plain edge list takes no preoccupied line\n"
 
 
 class TestProbe:

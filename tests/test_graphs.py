@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 
 import pytest
@@ -127,6 +128,84 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_edge_list("2 1\n0 1\nwhat is this\n")
+
+
+@st.composite
+def instance_lines(draw):
+    """(graph, preoccupied vertices or None, lines of its instance text):
+    a random graph, often with vertex and edge roles, and a preoccupied
+    line, listed in random order, at a random place among the trailers."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    roles = None
+    if n and draw(st.booleans()):
+        roles = {v: draw(st.sampled_from(graphs.VERTEX_ROLES)) for v in range(n)}
+    edge_roles = {e: draw(st.sampled_from(graphs.EDGE_ROLES)) for e in sorted(edges) if draw(st.booleans())}
+    g = Graph(n, frozenset(edges), roles, edge_roles or None)
+    lines = write_edge_list(g).splitlines()
+    pre = None
+    if draw(st.booleans()):
+        listed = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+        pre = frozenset(listed)
+        lines.insert(draw(st.integers(1 + g.m, len(lines))), " ".join(["preoccupied", *map(str, listed)]))
+    return g, pre, lines
+
+
+# Lines that no position in an instance accepts.
+GARBAGE = ("what is this", "x", "1 2 3 4 5", "role x base", "role 99 base", "edgerole 0 0 plain", "preoccupied x", "preoccupied 99")
+
+
+class TestInstanceReader:
+    def test_preoccupied_trailer(self):
+        text = "3 2\n0 1\n1 2\npreoccupied 2 0\nrole 0 base\nrole 1 plain\nrole 2 middle\n"
+        g, pre = graphs.parse_instance(text)
+        assert pre == frozenset({0, 2})
+        assert g == Graph(3, frozenset({(0, 1), (1, 2)}), {0: "base", 1: "plain", 2: "middle"})
+
+    def test_no_preoccupied_line_reads_as_none(self):
+        assert graphs.parse_instance(WORKED) == (worked_graph(), None)
+        assert graphs.parse_instance("2 1\n0 1\npreoccupied\n")[1] == frozenset()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            # Errors below a preoccupied line cite the file's own line.
+            ("3 2\npreoccupied 0\n0 1\n1 9\n", "line 2: expected integer edge 'u v', got 'preoccupied 0'"),
+            ("2 1\n0 1\npreoccupied 0\nwhat is this\n", "line 4: unrecognized trailing line 'what is this'"),
+            # The preoccupied line is a trailer, once.
+            ("preoccupied 0\n2 1\n0 1\n", "line 1: expected integer header 'n m', got 'preoccupied 0'"),
+            ("3 2\n0 1\npreoccupied 2\n1 2\n", "line 3: expected integer edge 'u v', got 'preoccupied 2'"),
+            ("2 1\n0 1\npreoccupied 0\n\npreoccupied 1\n", "line 5: second preoccupied line"),
+            ("2 1\n0 1\npreoccupied 1 2\n", "line 3: preoccupied vertex 2 out of range"),
+            ("2 1\n0 1\npreoccupied -1\n", "line 3: preoccupied vertex -1 out of range"),
+            ("2 1\n0 1\npreoccupied 0 1 0\n", "line 3: repeated preoccupied vertex 0"),
+            ("2 1\n0 1\nedgerole 0 0 plain\n", "line 3: edge role on missing edge (0, 0)"),
+        ],
+    )
+    def test_refusal_cites_its_line(self, text, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            graphs.parse_instance(text)
+
+    def test_edge_list_refuses_preoccupied_line(self):
+        with pytest.raises(ValueError, match="^line 4: a plain edge list takes no preoccupied line$"):
+            parse_edge_list("2 1\n0 1\n\npreoccupied 0\n")
+
+    def test_vertex_ceiling(self):
+        assert graphs.parse_instance(f"{graphs.MAX_VERTICES} 0\n")[0].n == graphs.MAX_VERTICES
+        error = f"^line 2: {graphs.MAX_VERTICES + 1} vertices refused: the limit is {graphs.MAX_VERTICES}$"
+        with pytest.raises(ValueError, match=error):
+            graphs.parse_instance(f"# huge\n{graphs.MAX_VERTICES + 1} 0\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance_lines(), st.data())
+    def test_round_trip_and_garbage_lines(self, case, data):
+        g, pre, lines = case
+        assert graphs.parse_instance("\n".join(lines) + "\n") == (g, pre)
+        k = data.draw(st.integers(1, len(lines)))
+        bad = lines[: k - 1] + [data.draw(st.sampled_from(GARBAGE))] + lines[k:]
+        with pytest.raises(ValueError, match=f"^line {k}: "):
+            graphs.parse_instance("\n".join(bad) + "\n")
 
 
 class TestGenerate:
