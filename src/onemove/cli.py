@@ -23,7 +23,7 @@ from .constructions import probe_edit, probe_grid, vc_to_czf_reduction, write_re
 from .deduction import Layout, run_deduction
 from .engines import Clearing, Strategy, czf_run
 from .families import CliqueConstruction
-from .graphs import FAMILY_KINDS, FamilySpec, Graph, generate, write_edge_list
+from .graphs import FAMILY_KINDS, FamilySpec, Graph, edge_key, generate, write_edge_list
 from .graphs import parse_edge_list, parse_instance
 from .solver import METHODS, Report, solve, verify
 
@@ -151,18 +151,17 @@ def _simulate_deduction(g: Graph, layout: Layout, policy: str, seed) -> None:
 def _simulate_cfms(g: Graph, strategy: Strategy, preoccupied: frozenset[int]) -> None:
     run = Clearing(g, preoccupied)
     for i, act in enumerate(strategy.actions):
-        fresh = sorted(run.apply(act, i))
+        fresh = sorted(edge_key(act[-1], w) for w in run.apply(act, i))  # act[-1] gained the searcher
         label = " ".join(map(str, act))
         if fresh:
             print(f"{label}: clears", " ".join(f"({u},{v})" for u, v in fresh))
         else:
             print(f"{label}: clears nothing")
-    state = run.state()
-    print("cleared:", "all" if state.cleared == g.m else f"{state.cleared}/{g.m}")
-    unvisited = sorted(set(range(g.n)) - state.ever_occupied)
+    print("cleared:", "all" if run.cleared == g.m else f"{run.cleared}/{g.m}")
+    unvisited = sorted(set(range(g.n)) - run.ever_occupied)
     if unvisited:
         print("unvisited:", " ".join(map(str, unvisited)))
-    print("success:", "true" if state.succeeded(g) else "false")
+    print("success:", "true" if run.succeeded(g) else "false")
 
 
 def _cmd_simulate(args) -> int:

@@ -2,8 +2,8 @@
 
 Both processes share the one-move discipline of the deduction game: a
 colored vertex forces at most once, a searcher slides at most once.
-The sliding model's clearing rule lives in one public stepper, Clearing,
-which cfms_run, complete_with_slides and the CLI's simulate all drive;
+A sliding run is one object, Clearing: cfms_run returns it, and
+complete_with_slides and the CLI's simulate drive it action by action;
 each action costs time in the degree of the vertex that gains a searcher.
 It keeps no edge set: an edge is cleared exactly when both of its ends
 have held a searcher, since a searcher leaves a vertex only along its
@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 
 from .deduction import FiringSequence, Layout, is_successful, run_deduction
-from .graphs import Edge, Graph, edge_key
+from .graphs import Edge, Graph
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +85,6 @@ def czf_run(g: Graph, initial) -> CzfState:
 # ---------------------------------------------------------------------------
 # Strategies for the sliding model.
 # ---------------------------------------------------------------------------
-
-PlaceAction = tuple[str, int]
-SlideAction = tuple[str, int, int]
-
 
 class StrategyError(ValueError):
     """An illegal action in a sliding strategy; the message cites the
@@ -159,40 +155,9 @@ class Strategy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CfmsState:
-    """Result of running a sliding strategy.
-
-    moved holds vertices whose current searcher has already slid.  An edge
-    clears when both endpoints hold searchers or when a searcher slides
-    along it.  visited and cleared count ever_occupied and cleared_edges;
-    a state from Clearing.state builds the four sets only when first read.
-    """
-
-    occupied: frozenset[int]
-    moved: frozenset[int]
-    cleared_edges: frozenset[Edge]
-    ever_occupied: frozenset[int]
-
-    def __getattr__(self, name: str):  # reached only for an attribute that is not set
-        if name in ("visited", "cleared"):
-            return len(self.ever_occupied if name == "visited" else self.cleared_edges)
-        if name not in ("occupied", "moved", "cleared_edges", "ever_occupied"):
-            raise AttributeError(name)
-        g, status = self._graph, self._status
-        ever = frozenset(v for v in range(g.n) if status[v])
-        cleared = frozenset((a, b) for a, b in g.edges if status[a] and status[b])
-        occupied = frozenset(v for v in ever if status[v] < 3)
-        self.__init__(occupied, frozenset(v for v in ever if status[v] == 2), cleared, ever)
-        return getattr(self, name)
-
-    def succeeded(self, g: Graph) -> bool:
-        """Every edge cleared and every vertex held a searcher at some point."""
-        return self.cleared == g.m and self.visited == g.n
-
-
 class Clearing:
-    """The sliding model's clearing rule, applied one action at a time.
+    """A sliding run: the sliding model's clearing rule, applied one
+    action at a time.
 
     Invariant: an edge is cleared exactly when both of its ends have held
     a searcher.  Proof: a searcher leaves a vertex only along its last
@@ -202,7 +167,10 @@ class Clearing:
     status[v]: 0 never held a searcher, 1 holds one that has not slid, 2
     holds one that slid there, 3 vacated; contaminated[v], the uncleared
     edges at v; and the counts visited and cleared.  place, slide and
-    apply return the edges an action cleared, or raise StrategyError.
+    apply return the held neighbors of the vertex that gained a searcher,
+    whose edges to it the action cleared, or raise StrategyError.  The
+    sets occupied, moved, ever_occupied and cleared_edges are built from
+    status when read.
     """
 
     def __init__(self, g: Graph, preoccupied=frozenset()) -> None:
@@ -230,7 +198,8 @@ class Clearing:
         self.cleared += len(fresh)
         return fresh
 
-    def _place(self, v: int, i: int) -> list[int]:
+    def place(self, v: int, i: int) -> list[int]:
+        """Action i puts a searcher on v; returns v's held neighbors."""
         if not 0 <= v < self.g.n:
             raise StrategyError(f"action {i}: place on vertex {v} out of range")
         if 0 < self.status[v] < 3:
@@ -239,11 +208,12 @@ class Clearing:
             raise StrategyError(f"action {i}: place on cleared vertex {v}")
         return self._occupy(v, 1)
 
-    def _slide(self, u: int, v: int, i: int) -> list[int]:
+    def slide(self, u: int, v: int, i: int) -> list[int]:
+        """Action i slides the searcher at u to v; returns v's held neighbors, u among them."""
         status = self.status
         if not (0 <= u < self.g.n and 0 <= v < self.g.n):
             raise StrategyError(f"action {i}: slide ({u}, {v}) out of range")
-        if not self.g.has_edge(u, v):
+        if u == v or not self.g.has_edge(u, v):
             raise StrategyError(f"action {i}: slide along missing edge ({u}, {v})")
         if not 0 < status[u] < 3:
             raise StrategyError(f"action {i}: slide from unoccupied vertex {u}")
@@ -258,28 +228,34 @@ class Clearing:
         status[u] = 3
         return fresh
 
-    def place(self, v: int, i: int) -> list[Edge]:
-        """Action i puts a searcher on v; returns the edges it cleared."""
-        return [edge_key(v, w) for w in self._place(v, i)]
-
-    def slide(self, u: int, v: int, i: int) -> list[Edge]:
-        """Action i slides the searcher at u to v; returns the edges it cleared."""
-        return [edge_key(v, w) for w in self._slide(u, v, i)]
-
-    def apply(self, act: PlaceAction | SlideAction, i: int) -> list[Edge]:
-        """Action i of a Strategy; returns the edges it cleared."""
+    def apply(self, act: tuple, i: int) -> list[int]:
+        """Action i of a Strategy; returns the held neighbors of the vertex that gained a searcher."""
         return self.place(act[1], i) if act[0] == "place" else self.slide(act[1], act[2], i)
 
-    def state(self) -> CfmsState:
-        """A snapshot of the run: its counts, and a copy of status to build the sets from."""
-        state = CfmsState.__new__(CfmsState)  # frozen, so filled through its __dict__
-        vars(state).update(_graph=self.g, _status=bytes(self.status))
-        vars(state).update(visited=self.visited, cleared=self.cleared)
-        return state
+    @property
+    def occupied(self) -> frozenset[int]:
+        return frozenset(v for v, mark in enumerate(self.status) if 0 < mark < 3)
+
+    @property
+    def moved(self) -> frozenset[int]:
+        return frozenset(v for v, mark in enumerate(self.status) if mark == 2)
+
+    @property
+    def ever_occupied(self) -> frozenset[int]:
+        return frozenset(v for v, mark in enumerate(self.status) if mark)
+
+    @property
+    def cleared_edges(self) -> frozenset[Edge]:
+        status = self.status
+        return frozenset((a, b) for a, b in self.g.edges if status[a] and status[b])
+
+    def succeeded(self, g: Graph) -> bool:
+        """Every edge cleared and every vertex held a searcher at some point."""
+        return self.cleared == g.m and self.visited == g.n
 
 
-def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState:
-    """Run a sliding strategy and report what it cleared.
+def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> Clearing:
+    """Run a sliding strategy and return the finished run.
 
     Searchers go onto contaminated vertices only and slide at most once,
     along their unique contaminated incident edge.  Vertices listed in
@@ -289,10 +265,10 @@ def cfms_run(g: Graph, strategy: Strategy, preoccupied=frozenset()) -> CfmsState
     run = Clearing(g, preoccupied)
     for i, act in enumerate(strategy.actions):
         if act[0] == "place":
-            run._place(act[1], i)
+            run.place(act[1], i)
         else:
-            run._slide(act[1], act[2], i)
-    return run.state()
+            run.slide(act[1], act[2], i)
+    return run
 
 
 def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
@@ -308,7 +284,7 @@ def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
         raise ValueError("placement overlaps preoccupied vertices")
     run = Clearing(g, preoccupied)
     for i, v in enumerate(place_list):
-        run._place(v, i)
+        run.place(v, i)
     actions: list[tuple] = [("place", v) for v in place_list]
     status, contaminated, adj = run.status, run.contaminated, run.adj
     # A searcher is ready (status 1, one contaminated edge) only once an edge at
@@ -321,7 +297,7 @@ def complete_with_slides(g: Graph, places, preoccupied=frozenset()) -> Strategy:
         for v in adj[u]:
             if not status[v]:  # u's one contaminated edge leads to its one never-held neighbor
                 break
-        for w in run._slide(u, v, len(actions)):
+        for w in run.slide(u, v, len(actions)):
             if status[w] == 1 and contaminated[w] == 1:
                 heapq.heappush(heap, w)
         actions.append(("slide", u, v))

@@ -32,6 +32,7 @@ __all__ = [
     "unicyclic_solve",
     "pendent_dismantle",
     "dismantling_strategy",
+    "pairs_strategy",
     "clique_construction_value",
     "clique_construction_layout",
     "attach_trees_solve",
@@ -84,7 +85,7 @@ def _peel(g: Graph) -> tuple[list[tuple[int, int]], dict[int, set[int]]]:
     return [(v, u) for _, v, u in steps], adj
 
 
-def _pairs_strategy(g: Graph, oriented: list[Edge] | tuple[Edge, ...]) -> Strategy:
+def pairs_strategy(g: Graph, oriented: list[Edge] | tuple[Edge, ...]) -> Strategy:
     """Strategy for pendant pairs (degree-1 end, other end) in deletion
     order: place on every vertex but the other ends, then slide each
     degree-1 end across its edge in turn."""
@@ -106,7 +107,7 @@ def tree_solve(t: Graph) -> ParameterResult:
     if not shape.is_cactus or shape.cycles:
         raise ValueError("input graph is not a forest")
     pairs, _ = _peel(t)
-    return ParameterResult(value=t.n - len(pairs), witness=_pairs_strategy(t, pairs), method="tree")
+    return ParameterResult(value=t.n - len(pairs), witness=pairs_strategy(t, pairs), method="tree")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def dismantling_strategy(g: Graph, o: DismantlingOrdering) -> Strategy:
     every surviving vertex, then slides each degree-1 endpoint across its
     edge in deletion order.
     """
-    return _pairs_strategy(g, _replay_ordering(g, o))
+    return pairs_strategy(g, _replay_ordering(g, o))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,12 @@ def _validate_clique_construction(g: Graph, c: CliqueConstruction) -> None:
         raise ValueError("construction must contain at least one clique")
     if len(c.anchors) != k or len(c.attachments) != k - 1:
         raise ValueError("anchor or attachment count does not match the clique count")
+    parts = [("clique", c.cliques), ("anchor", [[a] for a in c.anchors]), ("attachment", c.attachments)]
+    for part, members in parts:
+        for i, vs in enumerate(members):
+            for v in vs:  # a bool is an int to Python: True would pass for vertex 1
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"{part} {i} holds {v!r}, not a vertex index")
     seen: set[int] = set()
     for i, z in enumerate(c.cliques):
         if len(z) < 2:
@@ -325,6 +332,6 @@ def attach_trees_solve(g: Graph, h: Graph, attachment: dict[int, frozenset[int]]
             f"tree attached at vertex {blocked} cannot absorb its base vertex"
             " by pendant-edge removals"
         )
-    strategy = _pairs_strategy(h, pairs)
+    strategy = pairs_strategy(h, pairs)
     certify(h, strategy)
     return ParameterResult(value=h.n - len(pairs), witness=strategy, method="dismantle")

@@ -18,8 +18,8 @@ from .exact import ParameterResult, cfms_exact, czf_exact, d_exact
 from .families import (
     CliqueConstruction,
     DismantlingOrdering,
-    _pairs_strategy,
     clique_construction_layout,
+    pairs_strategy,
     pendent_dismantle,
     tree_solve,
     unicyclic_solve,
@@ -83,7 +83,7 @@ def solve(
             ordering = pendent_dismantle(g)
         if ordering is None:
             raise ValueError("graph is not dismantlable by pendent edge deletions")
-        result = ParameterResult(g.n - len(ordering), _pairs_strategy(g, ordering.pairs), method)
+        result = ParameterResult(g.n - len(ordering), pairs_strategy(g, ordering.pairs), method)
     elif method == "clique":
         if construction is None:
             raise ValueError("the clique method needs a construction")

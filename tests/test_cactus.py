@@ -69,12 +69,12 @@ def pinned_ring_clears(occupied):
     for i, p in enumerate(p for p in range(ring) if occupied[p]):
         run.place(p, i)
     while True:
-        state = run.state()
-        ready = [u for u in sorted(state.occupied - state.moved) if u != 0 and run.contaminated[u] == 1]
+        cleared = run.cleared_edges
+        ready = [u for u in sorted(run.occupied - run.moved) if u != 0 and run.contaminated[u] == 1]
         if not ready:
-            return len(state.cleared_edges) == ring
+            return len(cleared) == ring
         u = ready[0]
-        (v,) = [w for w in run.adj[u] if edge_key(u, w) not in state.cleared_edges]
+        (v,) = [w for w in run.adj[u] if edge_key(u, w) not in cleared]
         run.slide(u, v, 0)
 
 

@@ -167,6 +167,22 @@ class TestSolve:
         assert (code, report["value"], report["method"]) == (0, 2, "clique")
         assert report["witness"]["counts"] == {"1": 1, "3": 1}
 
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            {"cliques": [[0, 1]], "anchors": [[0]], "attachments": []},
+            {"cliques": [[0, 1]], "anchors": ["0"], "attachments": []},
+            {"cliques": [[0, True]], "anchors": [0], "attachments": []},
+        ],
+        ids=["anchor-list", "anchor-string", "bool-member"],
+    )
+    def test_certificate_members_must_be_ints(self, capsys, tmp_path, cert):
+        graph = write(tmp_path, "k2.el", "2 1\n0 1\n")
+        path = write(tmp_path, "cert.json", json.dumps(cert))
+        code, out, err = run(capsys, "solve", "--input", graph, "--method", "clique", "--certificate", path)
+        assert (code, out) == (cli.PARSE_EXIT, "")
+        assert "not a vertex index" in err
+
     def test_replay_failure_is_internal_error(self, capsys, tmp_path, monkeypatch):
         path = write(tmp_path, "star.el", "5 4\n0 1\n0 2\n0 3\n0 4\n")
         broken = SimpleNamespace(succeeded=lambda g: False)
@@ -446,6 +462,14 @@ class TestSimulate:
         )
         assert code == 2
         assert "action 0" in err
+
+    def test_cfms_self_loop_slide(self, capsys, tmp_path):
+        path = write(tmp_path, "k2.el", "2 1\n0 1\n")
+        code, out, err = run(
+            capsys, "simulate", "--input", path, "--model", "cfms", "--strategy", "place 0; slide 0 0"
+        )
+        assert (code, out) == (2, "place 0: clears nothing\n")
+        assert err == "error: action 1: slide along missing edge (0, 0)\n"
 
     def test_cfms_steps_one_run(self, capsys, tmp_path, count_calls):
         path = write(tmp_path, "p3.el", "3 2\n0 1\n1 2\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from onemove.deduction import FiringSequence, Layout, run_deduction
 from onemove.engines import (
-    CfmsState,
+    Clearing,
     Strategy,
     StrategyError,
     cfms_run,
@@ -19,7 +20,7 @@ from onemove.engines import (
     czf_run,
     deduction_to_cfms,
 )
-from onemove.graphs import FamilySpec, Graph, edge_key, generate, parse_edge_list
+from onemove.graphs import Edge, FamilySpec, Graph, edge_key, generate, parse_edge_list
 
 WORKED = "7 11\n0 1\n1 2\n3 4\n4 5\n0 3\n1 4\n2 5\n1 3\n5 6\n1 6\n0 2\n"
 
@@ -184,6 +185,11 @@ class TestCfms:
         with pytest.raises(StrategyError, match="missing edge"):
             cfms_run(g, Strategy.from_text("place 0; slide 0 2"))
 
+    def test_self_loop_slide_is_a_missing_edge(self):
+        g = generate(FamilySpec("path", 2))
+        with pytest.raises(StrategyError, match=r"^action 1: slide along missing edge \(0, 0\)$"):
+            cfms_run(g, Strategy.from_text("place 0; slide 0 0"))
+
     def test_preoccupied_triangle(self):
         g = generate(FamilySpec("cycle", 3))
         state = cfms_run(g, Strategy.from_text("place 1; slide 0 2"), preoccupied={0})
@@ -269,7 +275,24 @@ class TestCompletion:
             assert cleared == canonical.cleared_edges
 
 
-def rescan_run(g: Graph, actions, preoccupied=frozenset()) -> CfmsState:
+@dataclass(frozen=True)
+class Played:
+    """The four sets of a sliding run, as the rescanning reference keeps them."""
+
+    occupied: frozenset[int]
+    moved: frozenset[int]
+    cleared_edges: frozenset[Edge]
+    ever_occupied: frozenset[int]
+
+    @staticmethod
+    def of(run: Clearing) -> "Played":
+        return Played(run.occupied, run.moved, run.cleared_edges, run.ever_occupied)
+
+    def succeeded(self, g: Graph) -> bool:
+        return len(self.cleared_edges) == g.m and len(self.ever_occupied) == g.n
+
+
+def rescan_run(g: Graph, actions, preoccupied=frozenset()) -> Played:
     """Reference sliding engine: every edge is rescanned for double
     occupation after every action."""
     pre = sorted(set(preoccupied))
@@ -299,7 +322,7 @@ def rescan_run(g: Graph, actions, preoccupied=frozenset()) -> CfmsState:
             _, u, v = act
             if not (0 <= u < g.n and 0 <= v < g.n):
                 raise StrategyError(f"action {i}: slide ({u}, {v}) out of range")
-            if not g.has_edge(u, v):
+            if u == v or not g.has_edge(u, v):
                 raise StrategyError(f"action {i}: slide along missing edge ({u}, {v})")
             if u not in occupied:
                 raise StrategyError(f"action {i}: slide from unoccupied vertex {u}")
@@ -317,7 +340,7 @@ def rescan_run(g: Graph, actions, preoccupied=frozenset()) -> CfmsState:
         occupied.add(v)
         ever.add(v)
         rescan()
-    return CfmsState(frozenset(occupied), frozenset(moved), frozenset(cleared), frozenset(ever))
+    return Played(frozenset(occupied), frozenset(moved), frozenset(cleared), frozenset(ever))
 
 
 def rescan_complete(g: Graph, places, preoccupied=frozenset()) -> Strategy:
@@ -348,10 +371,12 @@ def sliding_inputs(draw):
 
 
 def outcome(run, *args):
+    """The run's four sets, or the type and message of the error it raised."""
     try:
-        return run(*args)
+        result = run(*args)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
+    return Played.of(result) if isinstance(result, Clearing) else result
 
 
 class TestAgainstRescan:
@@ -469,15 +494,17 @@ class TestClearedIffBothEndsHeld:
     def check_prefixes(g, pre, actions):
         for k in range(len(actions) + 1):
             want = outcome(rescan_run, g, actions[:k], pre)
-            got = outcome(cfms_run, g, Strategy(tuple(actions[:k])), pre)
-            if not isinstance(want, CfmsState):
-                assert got == want
+            try:
+                got = cfms_run(g, Strategy(tuple(actions[:k])), pre)
+            except ValueError as exc:
+                assert (type(exc).__name__, str(exc)) == want
                 return
+            assert isinstance(want, Played), want
             assert got.succeeded(g) == want.succeeded(g)
             assert (got.visited, got.cleared) == (len(want.ever_occupied), len(want.cleared_edges))
             ever = want.ever_occupied
             assert want.cleared_edges == {(a, b) for a, b in g.edges if a in ever and b in ever}
-            assert got == want
+            assert Played.of(got) == want
 
     @settings(max_examples=300, deadline=None)
     @given(altered_plays())

@@ -147,20 +147,32 @@ def test_certify_called_only_at_the_gates():
     assert callers == CERTIFY_CALLERS
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_imported(path):
+    # A module takes only another module's public names, so a private
+    # helper can change without a caller elsewhere noticing.
+    private = [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("onemove"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], f"{path.name} imports private names: {private}"
+
+
 def test_cli_only_parses_and_prints():
     # The oracle choice, the report and agree live in solver.verify, and
-    # the sliding stepper is engines' public Clearing: cli.py neither
-    # reaches into another module's private names nor runs a check itself.
+    # the sliding run is engines' public Clearing: cli.py runs no check
+    # itself (test_no_private_names_imported keeps it off private names).
     checks = {"czf_exact", "d_exact", "cfms_exact", "mu_exact", "certify"}
-    private, called = [], []
+    called = []
     for node in ast.walk(ast.parse((ROOT / "src" / "onemove" / "cli.py").read_text())):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("onemove")):
-            private += [alias.name for alias in node.names if alias.name.startswith("_")]
-        elif isinstance(node, ast.Call):
+        if isinstance(node, ast.Call):
             name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
             if name in checks:
                 called.append(name)
-    assert (private, called) == ([], [])
+    assert called == []
 
 
 def _names_reached(oracle):

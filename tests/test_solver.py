@@ -10,7 +10,13 @@ from onemove import engines, solver
 from onemove.cactus import CactusInstance, cactus_solve
 from onemove.engines import certify
 from onemove.exact import CFMS_EXACT_CEILING, CZF_EXACT_CEILING, D_EXACT_CEILING, czf_exact
-from onemove.families import dismantling_strategy, pendent_dismantle, tree_solve, unicyclic_solve
+from onemove.families import (
+    CliqueConstruction,
+    dismantling_strategy,
+    pendent_dismantle,
+    tree_solve,
+    unicyclic_solve,
+)
 from onemove.graphs import FamilySpec, Graph, classify, connected_components, edge_key, generate
 from onemove.solver import Report, solve, verify
 
@@ -150,3 +156,20 @@ def test_verify_reports_disagreement(monkeypatch):
     report = verify(g, method="exact")
     assert (report.oracle, report.agree) == (("d_exact", 99), False)
     assert report.to_json()["agree"] is False
+
+
+@pytest.mark.parametrize(
+    "cliques, anchors, message",
+    [
+        ([frozenset({0, 1})], [[0]], r"anchor 0 holds \[0\]"),
+        ([frozenset({0, 1})], ["0"], "anchor 0 holds '0'"),
+        ([frozenset({0, True})], [0], "clique 0 holds True"),
+    ],
+    ids=["anchor-list", "anchor-string", "bool-member"],
+)
+def test_clique_construction_members_are_ints(cliques, anchors, message):
+    # Checked before any set operation, so a list is not hashed and True
+    # does not pass for vertex 1.
+    construction = CliqueConstruction(tuple(cliques), tuple(anchors), ())
+    with pytest.raises(ValueError, match=message):
+        solve(Graph(2, {(0, 1)}), method="clique", construction=construction)
