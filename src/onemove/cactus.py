@@ -8,6 +8,9 @@ collection of cycles glued at cut vertices and always exposes a cycle
 that is isolated or meets the rest of the graph in a single branching
 vertex; those fall to a case analysis that compares the cost of the
 whole cycle with the cost of the path avoiding the branching vertex.
+Every path piece, that path or a cycle less an edge between two held
+vertices, is handed over as its vertex order and dissolved by the same
+leaf peel.
 Solvers here compute placements only: slides are reconstructed greedily,
 and the finished strategy is left for the caller to replay (solver.solve
 certifies it once).  graphs.parse_instance reads the instance format.
@@ -16,7 +19,7 @@ certifies it once).  graphs.parse_instance reads the instance format.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engines import complete_with_slides
 from .exact import ParameterResult
@@ -43,13 +46,13 @@ __all__ = [
 class CactusInstance:
     """A cactus forest together with the vertices that start occupied.
 
-    cycles holds the graph's cycles as classify found them while
-    validating the instance, so that the solver need not classify again.
+    Validating the instance classifies its graph, and the graph keeps
+    that shape, so cactus_solve reads the cycles without classifying
+    again.
     """
 
     graph: Graph
     preoccupied: frozenset[int] = frozenset()
-    cycles: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pre = frozenset(self.preoccupied)
@@ -57,10 +60,8 @@ class CactusInstance:
         for v in pre:
             if not 0 <= v < self.graph.n:
                 raise ValueError(f"preoccupied vertex {v} out of range")
-        shape = classify(self.graph)
-        if not shape.is_cactus:
+        if not classify(self.graph).is_cactus:
             raise ValueError("graph is not a cactus forest")
-        object.__setattr__(self, "cycles", shape.cycles)
 
 
 def parse_cactus_instance(text: str) -> CactusInstance:
@@ -93,26 +94,19 @@ def _resolve_leaves(
         delete_vertices(adj, pre, (v,))
 
 
-def _ring_adjacency(rotation: tuple[int, ...], skip: int | None = None) -> dict[int, set[int]]:
-    """Adjacency dict of a cycle given in cyclic order, less the vertex skip."""
-    adj: dict[int, set[int]] = {w: set() for w in rotation if w != skip}
-    for a, b in zip(rotation, rotation[1:] + rotation[:1]):
-        if a != skip and b != skip:
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
+def _path_places(order: tuple[int, ...], pre) -> list[int]:
+    """Placements that dissolve the path through order, in the caller's
+    labels: the leaf peel plus the isolated sweep.
 
-
-def _path_places(adj: dict[int, set[int]], pre) -> list[int]:
-    """Placements that dissolve a disjoint union of paths: the leaf peel
-    plus the isolated sweep.
-
-    adj is keyed by the caller's labels and is emptied; pre may hold
-    vertices outside adj and is only read.  Labels act only through
-    their order, which breaks ties between leaves.
+    pre may hold vertices off the path and is only read.  Labels act
+    only through their order, which breaks ties between leaves.
     """
+    adj: dict[int, set[int]] = {w: set() for w in order}
+    for a, b in zip(order, order[1:]):
+        adj[a].add(b)
+        adj[b].add(a)
     places: list[int] = []
-    _resolve_leaves(adj, {v for v in adj if v in pre}, places, [], set(adj))
+    _resolve_leaves(adj, {v for v in order if v in pre}, places, [], set(order))
     if adj:
         raise RuntimeError("leaf rules did not dissolve the path; this is a bug")
     return places
@@ -218,25 +212,24 @@ def _cycle_places(pre, rotation: tuple[int, ...]) -> tuple[list[int], str]:
     may hold vertices off the cycle and is only read.  No occupied
     vertex: a fixed pattern of ceil(n/2) placements.  Two occupied
     vertices adjacent: their shared edge clears on its own, so the path
-    left when it is dropped decides.  Otherwise a ring scan finds the
-    cheapest placement set whose occupied runs satisfy the slide-capacity
-    rules; the label reports what the chosen optimum does at the lowest
-    occupied vertex u: its searcher rests (a), it must slide (b), or a
-    new searcher lands next to it (c).  Label a is the pinned ring scan's
-    verdict: the chosen set, with u unable to slide, costs nothing more.
+    left when the least such edge is dropped decides.  Otherwise a ring
+    scan finds the cheapest placement set whose occupied runs satisfy the
+    slide-capacity rules; the label reports what the chosen optimum does
+    at the lowest occupied vertex u: its searcher rests (a), it must
+    slide (b), or a new searcher lands next to it (c).  Label a is the
+    pinned ring scan's verdict: the chosen set, with u unable to slide,
+    costs nothing more.
     """
     held = [w for w in rotation if w in pre]
     if not held:
         return alternating_places(rotation), "none"
-    adjacent = sorted(
-        edge_key(a, b) for a, b in zip(rotation, rotation[1:] + rotation[:1]) if a in pre and b in pre
-    )
+    after = rotation[1:] + rotation[:1]
+    adjacent = [
+        (edge_key(a, b), i) for i, (a, b) in enumerate(zip(rotation, after)) if a in pre and b in pre
+    ]
     if adjacent:
-        u, w = adjacent[0]
-        adj = _ring_adjacency(rotation)
-        adj[u].discard(w)
-        adj[w].discard(u)
-        return _path_places(adj, pre), "adjacent"
+        i = min(adjacent)[1] + 1
+        return _path_places(rotation[i:] + rotation[:i], pre), "adjacent"
     at = rotation.index(min(held))
     turned = rotation[at:] + rotation[:at]
     chosen = set(_ring_minimum_occupation([v in pre for v in turned]))
@@ -280,7 +273,7 @@ def cactus_solve(inst: CactusInstance) -> ParameterResult:
     # fall, so a cycle's count of degree-3+ vertices (the vertices in
     # big) only falls: a live cycle whose count is 0 is isolated, one
     # whose count is 1 is a leaf cycle at its one big vertex.
-    cycles = inst.cycles
+    cycles = classify(g).cycles
     through: dict[int, list[int]] = {}
     for i, cyc in enumerate(cycles):
         for w in cyc:
@@ -335,7 +328,8 @@ def cactus_solve(inst: CactusInstance) -> ParameterResult:
         v, cyc, _ = heapq.heappop(leaves)
         listing = ",".join(str(w) for w in cyc)
 
-        pl_p = _path_places(_ring_adjacency(cyc, skip=v), pre)
+        at = cyc.index(v)
+        pl_p = _path_places(cyc[at + 1 :] + cyc[:at], pre)
         pl_c, label = _cycle_places(pre, cyc)
         cf_p, cf_c = len(pl_p), len(pl_c)
 

@@ -71,7 +71,10 @@ def _parse_layout_csv(text: str) -> Layout:
         tok = tok.strip()
         if not tok:
             continue
-        v = int(tok)
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ValueError(f"layout entry {tok!r} is not a vertex index") from None
         counts[v] = counts.get(v, 0) + 1
     if not counts:
         raise ValueError("layout is empty")
@@ -79,8 +82,18 @@ def _parse_layout_csv(text: str) -> Layout:
 
 
 def _read_certificate(path: str) -> CliqueConstruction:
+    """The construction in a certificate file.  A bool or a repeated
+    member would merge into one vertex once a frozenset is built (True is
+    1 to Python), so each clique and attachment list is checked first."""
     data = json.loads(_read_text(path))
     try:
+        for part in ("clique", "attachment"):
+            for i, members in enumerate(data[part + "s"]):
+                for v in members:
+                    if isinstance(v, bool):
+                        raise ValueError(f"{part} {i} holds {v!r}, not a vertex index")
+                if len(set(members)) != len(members):
+                    raise ValueError(f"{part} {i} repeats a vertex")
         return CliqueConstruction(
             tuple(frozenset(c) for c in data["cliques"]),
             tuple(data["anchors"]),
@@ -320,7 +333,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_EXIT
-    except (AssertionError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
 

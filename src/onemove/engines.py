@@ -135,18 +135,25 @@ class Strategy:
 
     @staticmethod
     def from_text(text: str) -> "Strategy":
-        """Parse the little command form: "place 0; slide 0 1"."""
+        """Parse the little command form: "place 0; slide 0 1".
+
+        Empty chunks are skipped, so errors number actions as the replay
+        does and name the token that is not a vertex index.
+        """
         actions: list[tuple] = []
-        for i, chunk in enumerate(c.strip() for c in text.split(";")):
+        for chunk in (c.strip() for c in text.split(";")):
             if not chunk:
                 continue
-            parts = chunk.split()
-            if parts[0] == "place" and len(parts) == 2:
-                actions.append(("place", int(parts[1])))
-            elif parts[0] == "slide" and len(parts) == 3:
-                actions.append(("slide", int(parts[1]), int(parts[2])))
-            else:
+            i, (verb, *ends) = len(actions), chunk.split()
+            if (verb, len(ends)) not in (("place", 1), ("slide", 2)):
                 raise ValueError(f"action {i}: cannot parse {chunk!r}")
+            vertices = []
+            for tok in ends:
+                try:
+                    vertices.append(int(tok))
+                except ValueError:
+                    raise ValueError(f"action {i}: {tok!r} in {chunk!r} is not a vertex index") from None
+            actions.append((verb, *vertices))
         return Strategy(tuple(actions))
 
 

@@ -219,7 +219,7 @@ def _min_forcing_set(adj, lower: int) -> tuple[int, int]:
         mask = _first_full(adj, k, tables)
         if mask is not None:
             return k, mask
-    raise AssertionError("the full vertex set always forces itself")
+    raise RuntimeError("no start set forces the graph, not even the full vertex set; this is a bug")
 
 
 def czf_exact(g: Graph, *, force: bool = False) -> ParameterResult:
@@ -416,7 +416,7 @@ def d_exact(g: Graph, *, force: bool = False) -> ParameterResult:
                     f"deduction sweep and run_deduction disagree on {layout.counts}; this is a bug"
                 )
             return ParameterResult(total, layout, "exact")
-    raise AssertionError("placing a searcher on every vertex always succeeds")
+    raise RuntimeError("no layout protects the graph, not even one searcher per vertex; this is a bug")
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,7 @@ def cfms_exact(g: Graph, preoccupied=frozenset(), *, force: bool = False) -> Par
                 if not cfms_run(g, strategy, preoccupied=pre).succeeded(g):
                     raise RuntimeError(f"sliding step and cfms_run disagree on {combo}; this is a bug")
                 return ParameterResult(s, strategy, "exact")
-    raise AssertionError("placing searchers everywhere always clears the graph")
+    raise RuntimeError("no placement set clears the graph, not even every vertex; this is a bug")
 
 
 # ---------------------------------------------------------------------------
@@ -596,52 +596,3 @@ def mu_exact(g: Graph, *, force: bool = False) -> ParameterResult:
     if not validate_uniqueness_witness(g, witness):
         raise RuntimeError(f"mu_exact built an invalid witness {witness}; this is a bug")
     return ParameterResult(value, witness, "exact")
-
-
-# ---------------------------------------------------------------------------
-# Independence number and vertex cover.
-# ---------------------------------------------------------------------------
-
-
-def alpha_exact(g: Graph) -> ParameterResult:
-    """Maximum independent set via branch and bound on bitsets."""
-    nbrs = adjacency_masks(g)
-    best_mask = 0
-    # greedy seed: repeatedly take the lowest-degree remaining vertex
-    remaining = (1 << g.n) - 1
-    while remaining:
-        v = min(
-            (w for w in range(g.n) if remaining >> w & 1),
-            key=lambda w: (nbrs[w] & remaining).bit_count(),
-        )
-        best_mask |= 1 << v
-        remaining &= ~(nbrs[v] | 1 << v)
-    best = [best_mask.bit_count(), best_mask]
-
-    def expand(candidates: int, chosen: int, size: int) -> None:
-        if size + candidates.bit_count() <= best[0]:
-            return
-        if candidates == 0:
-            if size > best[0]:
-                best[0] = size
-                best[1] = chosen
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        bit = 1 << v
-        expand(candidates & ~(nbrs[v] | bit), chosen | bit, size + 1)
-        expand(candidates & ~bit, chosen, size)
-
-    expand((1 << g.n) - 1, 0, 0)
-    witness = [v for v in range(g.n) if best[1] >> v & 1]
-    return ParameterResult(best[0], witness, "exact")
-
-
-def vertex_cover_decide(g: Graph, l: int) -> tuple[bool, list[int] | None]:
-    """Whether g has a vertex cover of size at most l; returns one if so."""
-    if l < 0:
-        return False, None
-    alpha = alpha_exact(g)
-    if g.n - alpha.value > l:
-        return False, None
-    cover = sorted(set(range(g.n)) - set(alpha.witness))
-    return True, cover

@@ -4,8 +4,10 @@ Each solver returns the minimum searcher count together with a witness
 that replays on the simulation engines: a sliding strategy for trees,
 unicyclic graphs, and attached-tree graphs, and a searcher layout for
 clique-constructed graphs.  The solvers that solver.solve routes to
-leave the replay to it; attach_trees_solve and clique_construction_value
-report without it, so each replays its witness once itself.
+leave the replay to it, the clique method included:
+solve(g, method="clique", construction=c) validates a construction,
+builds its layout and certifies it.  attach_trees_solve reports without
+solve, so it replays its witness once itself.
 Pendant-edge dismantling orderings act as certificates in their own
 right; any two orderings of the same graph have equal length, so the
 count they certify is well defined.  Trees, dismantling and attached
@@ -33,7 +35,6 @@ __all__ = [
     "pendent_dismantle",
     "dismantling_strategy",
     "pairs_strategy",
-    "clique_construction_value",
     "clique_construction_layout",
     "attach_trees_solve",
 ]
@@ -243,17 +244,6 @@ def clique_construction_layout(g: Graph, c: CliqueConstruction) -> Layout:
     so its total is n minus one anchor per clique.  Not replayed here."""
     _validate_clique_construction(g, c)
     return Layout.standard(v for v in range(g.n) if v not in set(c.anchors))
-
-
-def clique_construction_value(g: Graph, c: CliqueConstruction) -> int:
-    """Searcher count certified by a clique construction: n minus its length.
-
-    Validates the construction against g, then confirms the non-anchor
-    layout wins the deduction game before reporting the count.
-    """
-    layout = clique_construction_layout(g, c)
-    certify(g, layout)
-    return layout.total()
 
 
 # ---------------------------------------------------------------------------

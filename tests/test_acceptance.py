@@ -31,7 +31,6 @@ from onemove.deduction import (
 )
 from onemove.engines import cfms_run, czf_run
 from onemove.exact import (
-    alpha_exact,
     cfms_exact,
     czf_exact,
     d_exact,
@@ -40,7 +39,6 @@ from onemove.exact import (
 )
 from onemove.families import (
     CliqueConstruction,
-    clique_construction_value,
     dismantling_strategy,
     pendent_dismantle,
     tree_solve,
@@ -54,6 +52,8 @@ from onemove.graphs import (
     induced_subgraph,
     subdivide_all,
 )
+from onemove.solver import solve
+from independence import alpha_exact
 from value_table import czf_value_table, pair_bit_index
 
 log = logging.getLogger(__name__)
@@ -357,7 +357,7 @@ def test_09_family_solvers_match_the_oracle():
         g = Graph(total, edges)
         c = CliqueConstruction(
             tuple(cliques), tuple(anchors), tuple(attachments))
-        assert clique_construction_value(g, c) == czf_exact(g).value
+        assert solve(g, method="clique", construction=c).value == czf_exact(g).value
         built += 1
 
     for _ in range(100):

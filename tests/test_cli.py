@@ -183,6 +183,31 @@ class TestSolve:
         assert (code, out) == (cli.PARSE_EXIT, "")
         assert "not a vertex index" in err
 
+    @pytest.mark.parametrize(
+        "cert, message",
+        [
+            ({"cliques": [[0, 1, True]], "anchors": [0], "attachments": []}, "clique 0 holds True"),
+            ({"cliques": [[0, 1, 1]], "anchors": [0], "attachments": []}, "clique 0 repeats a vertex"),
+            (
+                {"cliques": [[0, 1], [2, 3]], "anchors": [0, 2], "attachments": [[1, True]]},
+                "attachment 0 holds True",
+            ),
+            (
+                {"cliques": [[0, 1], [2, 3]], "anchors": [0, 2], "attachments": [[1, 1]]},
+                "attachment 0 repeats a vertex",
+            ),
+        ],
+        ids=["bool-beside-its-int", "repeated-member", "bool-attachment", "repeated-attachment"],
+    )
+    def test_certificate_members_are_not_merged(self, capsys, tmp_path, cert, message):
+        # A set would fold True into 1, or a repeat into one member, and
+        # the construction would pass the checks that come after.
+        graph = write(tmp_path, "g.el", CHAIN if len(cert["cliques"]) == 2 else "2 1\n0 1\n")
+        path = write(tmp_path, "cert.json", json.dumps(cert))
+        code, out, err = run(capsys, "solve", "--input", graph, "--method", "clique", "--certificate", path)
+        assert (code, out) == (cli.PARSE_EXIT, "")
+        assert message in err
+
     def test_replay_failure_is_internal_error(self, capsys, tmp_path, monkeypatch):
         path = write(tmp_path, "star.el", "5 4\n0 1\n0 2\n0 3\n0 4\n")
         broken = SimpleNamespace(succeeded=lambda g: False)
@@ -498,6 +523,27 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--input", path, "--model", model, "--layout", "0")
         assert (code, out) == (2, "")
         assert err == f"error: --model {model} takes no preoccupied line\n"
+
+    @pytest.mark.parametrize(
+        "strategy, message",
+        [
+            ("place 0;;slide 0", "action 1: cannot parse 'slide 0'"),
+            ("place x", "action 0: 'x' in 'place x' is not a vertex index"),
+            ("place 0; ; slide 0 y", "action 1: 'y' in 'slide 0 y' is not a vertex index"),
+        ],
+    )
+    def test_cfms_parse_error_names_action_and_token(self, capsys, tmp_path, strategy, message):
+        # Actions are numbered as the replay numbers them: empty chunks
+        # do not count.
+        path = write(tmp_path, "k2.el", "2 1\n0 1\n")
+        code, out, err = run(capsys, "simulate", "--input", path, "--model", "cfms", "--strategy", strategy)
+        assert (code, out, err) == (cli.PARSE_EXIT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("model", ["czf", "deduction"])
+    def test_layout_parse_error_names_token(self, capsys, tmp_path, model):
+        path = write(tmp_path, "k2.el", "2 1\n0 1\n")
+        code, out, err = run(capsys, "simulate", "--input", path, "--model", model, "--layout", "0,a")
+        assert (code, out, err) == (cli.PARSE_EXIT, "", "error: layout entry 'a' is not a vertex index\n")
 
     def test_invalid_layout_is_parse_error(self, capsys, tmp_path):
         path = write(tmp_path, "k2.el", "2 1\n0 1\n")

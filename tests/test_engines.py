@@ -105,6 +105,12 @@ class TestStrategy:
         with pytest.raises(ValueError):
             Strategy.from_text("hop 0 1")
 
+    def test_bad_text_numbers_actions_not_chunks(self):
+        with pytest.raises(ValueError, match=r"^action 1: cannot parse 'hop 0 1'$"):
+            Strategy.from_text("; place 0;; hop 0 1")
+        with pytest.raises(ValueError, match=r"^action 0: '0x' in 'slide 0x 1' is not a vertex index$"):
+            Strategy.from_text("slide 0x 1")
+
     def test_bad_action_shape(self):
         with pytest.raises(ValueError):
             Strategy((("jump", 0),))

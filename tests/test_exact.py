@@ -21,13 +21,11 @@ from onemove.engines import cfms_run, complete_with_slides, czf_run
 from onemove.exact import (
     ParameterResult,
     UniquenessWitness,
-    alpha_exact,
     cfms_exact,
     czf_exact,
     d_exact,
     mu_exact,
     validate_uniqueness_witness,
-    vertex_cover_decide,
 )
 from onemove.graphs import (
     FamilySpec,
@@ -38,6 +36,7 @@ from onemove.graphs import (
     induced_subgraph,
     parse_edge_list,
 )
+from independence import alpha_exact, vertex_cover_decide
 from value_table import czf_value_table, pair_bit_index
 
 WORKED = """7 11

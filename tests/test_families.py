@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onemove.engines import cfms_run
-from onemove.exact import alpha_exact, czf_exact
+from onemove.exact import czf_exact
 from onemove.families import (
     CliqueConstruction,
     DismantlingOrdering,
     attach_trees_solve,
     clique_construction_layout,
-    clique_construction_value,
     dismantling_strategy,
     pendent_dismantle,
     tree_solve,
@@ -22,6 +21,9 @@ from onemove.families import (
 )
 from onemove.deduction import is_successful
 from onemove.graphs import FamilySpec, Graph, edge_key, generate
+from onemove.solver import solve
+
+from independence import alpha_exact
 
 
 def random_tree(rng, n):
@@ -307,7 +309,7 @@ class TestCliqueConstruction:
     def test_complete_graph_single_clique(self):
         g = generate(FamilySpec("complete", 4))
         c = CliqueConstruction((frozenset({0, 1, 2, 3}),), (0,), ())
-        assert clique_construction_value(g, c) == 3
+        assert solve(g, method="clique", construction=c).value == 3
 
     def test_joined_triangles(self):
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
@@ -315,14 +317,14 @@ class TestCliqueConstruction:
         c = CliqueConstruction(
             (frozenset({0, 1, 2}), frozenset({3, 4, 5})), (0, 3),
             (frozenset({1, 2}),))
-        assert clique_construction_value(g, c) == 4
+        assert solve(g, method="clique", construction=c).value == 4
         assert czf_exact(g).value == 4
 
     def test_chained_edges(self):
         g = Graph(4, [(0, 1), (2, 3), (1, 2), (1, 3)])
         c = CliqueConstruction(
             (frozenset({0, 1}), frozenset({2, 3})), (0, 2), (frozenset({1}),))
-        assert clique_construction_value(g, c) == 2
+        assert solve(g, method="clique", construction=c).value == 2
         assert czf_exact(g).value == 2
 
     def test_layout_succeeds_under_deduction(self):
@@ -338,20 +340,20 @@ class TestCliqueConstruction:
         c = CliqueConstruction(
             (frozenset({0, 1, 2}), frozenset({2, 3})), (0, 2), (frozenset({1}),))
         with pytest.raises(ValueError):
-            clique_construction_value(g, c)
+            solve(g, method="clique", construction=c).value
 
     def test_rejects_anchor_outside_clique(self):
         g = generate(FamilySpec("complete", 4))
         c = CliqueConstruction((frozenset({0, 1, 2, 3}),), (4,), ())
         with pytest.raises(ValueError):
-            clique_construction_value(g, c)
+            solve(g, method="clique", construction=c).value
 
     def test_rejects_edge_mismatch(self):
         g = Graph(4, [(0, 1), (2, 3)])
         c = CliqueConstruction(
             (frozenset({0, 1}), frozenset({2, 3})), (0, 2), (frozenset({1}),))
         with pytest.raises(ValueError):
-            clique_construction_value(g, c)
+            solve(g, method="clique", construction=c).value
 
     def test_random_constructions_match_oracle(self):
         rng = random.Random(48)
@@ -387,7 +389,7 @@ class TestCliqueConstruction:
             g = Graph(total, edges)
             c = CliqueConstruction(
                 tuple(cliques), tuple(anchors), tuple(attachments))
-            value = clique_construction_value(g, c)
+            value = solve(g, method="clique", construction=c).value
             assert value == total - len(sizes)
             if total <= 12:
                 assert value == czf_exact(g).value

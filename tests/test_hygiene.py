@@ -42,6 +42,20 @@ def test_no_assert_statements(path):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assertion_errors(path):
+    # A broken invariant raises RuntimeError ("...; this is a bug"), the
+    # one error the CLI maps to its internal-error exit; nothing raises
+    # or catches AssertionError.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "AssertionError"
+    ]
+    assert lines == [], f"{path.name} names AssertionError at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_imports_used(path):
     # A module-level import counts as used when the module reads its name
     # somewhere or lists it in __all__.
@@ -125,7 +139,6 @@ def test_no_module_level_work(path):
 CERTIFY_CALLERS = {
     ("solver", "solve"),
     ("families", "attach_trees_solve"),
-    ("families", "clique_construction_value"),
     ("constructions", "cover_to_strategy"),
     ("constructions", "subdivision_value"),
 }
